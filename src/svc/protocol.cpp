@@ -159,17 +159,17 @@ bool is_valid_trace_id(std::string_view id) {
   return true;
 }
 
-std::string with_trace_id(std::string_view json_object,
-                          std::string_view trace_id) {
+std::string splice_field_front(std::string_view json_object, std::string_view key,
+                               std::string_view value) {
   const auto brace = json_object.find('{');
-  if (brace == std::string_view::npos || trace_id.empty()) {
-    return std::string(json_object);
-  }
+  if (brace == std::string_view::npos) return std::string(json_object);
   std::string out;
-  out.reserve(json_object.size() + trace_id.size() + 16);
+  out.reserve(json_object.size() + key.size() + value.size() + 8);
   out.append(json_object.substr(0, brace + 1));
-  out += "\"trace_id\":\"";
-  out += json_escape(trace_id);
+  out += '"';
+  out.append(key);
+  out += "\":\"";
+  out += json_escape(value);
   out += '"';
   // Keep `{}` well-formed: only add the comma when fields follow.
   const auto rest = json_object.substr(brace + 1);
@@ -179,6 +179,11 @@ std::string with_trace_id(std::string_view json_object,
   }
   out.append(rest);
   return out;
+}
+
+std::string with_trace_id(std::string_view json_object, std::string_view trace_id) {
+  return trace_id.empty() ? std::string(json_object)
+                          : splice_field_front(json_object, "trace_id", trace_id);
 }
 
 std::string error_payload(std::string_view code, std::string_view message) {

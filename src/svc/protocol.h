@@ -20,12 +20,19 @@
 #ifndef MCR_SVC_PROTOCOL_H
 #define MCR_SVC_PROTOCOL_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
 namespace mcr::svc {
+
+/// The protocol's verbs. Request metrics label any other verb — missing
+/// and empty included — as "other", so no client input can grow the
+/// label set.
+inline constexpr std::array<std::string_view, 8> kVerbs = {
+    "PING", "LOAD", "SOLVE", "SOLVERS", "STATS", "HEALTH", "TRACE", "RELOAD"};
 
 inline constexpr char kMagic[4] = {'M', 'C', 'R', '1'};
 inline constexpr std::size_t kHeaderBytes = 8;
@@ -115,10 +122,16 @@ inline constexpr std::size_t kMaxTraceIdBytes = 64;
 /// echoing attacker-shaped bytes into logs and exports).
 [[nodiscard]] bool is_valid_trace_id(std::string_view id);
 
-/// Splices `"trace_id":"<id>",` immediately after the opening '{' of a
-/// serialized JSON object, keeping the object's existing field order —
-/// and crucially its *last* field — intact. Returns the payload
-/// unchanged when it is not an object or the id is empty.
+/// Splices `"<key>":"<escaped value>",` immediately after the opening
+/// '{' of a serialized JSON object, keeping the object's existing field
+/// order — and crucially its *last* field — intact. Returns the payload
+/// unchanged when it is not an object.
+[[nodiscard]] std::string splice_field_front(std::string_view json_object,
+                                             std::string_view key,
+                                             std::string_view value);
+
+/// splice_field_front of "trace_id"; the payload is returned unchanged
+/// when the id is empty.
 [[nodiscard]] std::string with_trace_id(std::string_view json_object,
                                         std::string_view trace_id);
 

@@ -1,16 +1,6 @@
 #include "svc/router.h"
 
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -23,10 +13,6 @@
 namespace mcr::svc {
 
 namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
 
 /// splitmix64 — the repo's standard cheap mixer.
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -52,12 +38,6 @@ double uniform(std::uint64_t& state, double lo, double hi) {
   const std::uint64_t z = splitmix64(state);
   const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
   return lo + u * (hi - lo);
-}
-
-std::string fmt_json_double(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
 }
 
 /// Canonical text for one scalar JSON value inside a routing key.
@@ -91,28 +71,6 @@ void append_canonical(std::string& out, const json::Value& v) {
   }
 }
 
-/// Splices `"key":"value",` right after the opening '{' — same contract
-/// as with_trace_id (keeps the object's last field intact).
-std::string splice_field_front(std::string_view payload, std::string_view key,
-                               std::string_view value) {
-  const auto brace = payload.find('{');
-  if (brace == std::string_view::npos) return std::string(payload);
-  std::string out;
-  out.reserve(payload.size() + key.size() + value.size() + 8);
-  out.append(payload.substr(0, brace + 1));
-  out += '"';
-  out.append(key);
-  out += "\":\"";
-  out += json_escape(value);
-  out += '"';
-  // Empty object: no comma needed.
-  const auto rest = payload.substr(brace + 1);
-  const auto first = rest.find_first_not_of(" \t\r\n");
-  if (first == std::string_view::npos || rest[first] != '}') out += ',';
-  out.append(rest);
-  return out;
-}
-
 const char* breaker_state_name(CircuitBreaker::State s) {
   switch (s) {
     case CircuitBreaker::State::kClosed: return "closed";
@@ -129,17 +87,6 @@ std::int64_t breaker_state_code(CircuitBreaker::State s) {
     case CircuitBreaker::State::kHalfOpen: return 2;
   }
   return -1;
-}
-
-std::vector<double> request_seconds_bounds() {
-  std::vector<double> bounds;
-  for (double decade = 1e-5; decade < 10.0; decade *= 10.0) {
-    bounds.push_back(decade);
-    bounds.push_back(decade * 2.1544346900318837);  // 10^(1/3)
-    bounds.push_back(decade * 4.6415888336127790);  // 10^(2/3)
-  }
-  bounds.push_back(10.0);
-  return bounds;
 }
 
 /// Quick error probe on a response payload: worker responses put
@@ -252,7 +199,17 @@ void CircuitBreaker::open(std::chrono::steady_clock::time_point now) {
 
 // --- Router: lifecycle ---------------------------------------------------
 
-Router::Router(RouterOptions options) : options_(std::move(options)) {
+Router::Router(RouterOptions options)
+    : options_(std::move(options)),
+      frame_({.unix_socket_path = options_.unix_socket_path,
+              .tcp_port = options_.tcp_port,
+              .tcp_bind_host = options_.tcp_bind_host,
+              .max_frame_bytes = options_.max_frame_bytes,
+              .stats_window_s = options_.stats_window_s,
+              .stats_window_slots = options_.stats_window_slots,
+              .role = "router",
+              .internal_error_message = "internal error routing request"},
+             metrics_, [this](const std::string& payload) { return handle_request(payload); }) {
   // The fleet model — backends, instruments, and the hash ring — is
   // pure computation, built here so ring/snapshot helpers answer on a
   // router that was never started (and so ring property tests need no
@@ -317,110 +274,13 @@ void Router::start() {
   if (backends_.empty()) {
     throw std::runtime_error("Router::start: no workers configured");
   }
-  if (options_.unix_socket_path.empty() && options_.tcp_port < 0) {
-    throw std::runtime_error("Router::start: no listener configured");
-  }
-
-  // Listeners: same shape as svc::Server. Setup is guarded: a failure
-  // partway (TCP bind after the unix listener bound, pipe exhaustion)
-  // must not leak the fds already opened or leave the socket file
-  // behind — running_ is still false, so stop_and_drain() would never
-  // reclaim them, and the leaked bound file would shadow a later
-  // start() on the same path. The guard disarms once setup completes.
-  bool unix_bound = false;
-  struct ListenerGuard {
-    Router* router;
-    const bool* unix_bound;
-    bool armed = true;
-    ~ListenerGuard() {
-      if (!armed) return;
-      Router& r = *router;
-      if (r.unix_fd_ >= 0) ::close(r.unix_fd_);
-      if (r.tcp_fd_ >= 0) ::close(r.tcp_fd_);
-      r.unix_fd_ = r.tcp_fd_ = -1;
-      r.bound_tcp_port_ = -1;
-      for (int& fd : r.wake_pipe_) {
-        if (fd >= 0) ::close(fd);
-        fd = -1;
-      }
-      if (*unix_bound) ::unlink(r.options_.unix_socket_path.c_str());
-    }
-  } guard{this, &unix_bound};
-
-  if (!options_.unix_socket_path.empty()) {
-    unix_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (unix_fd_ < 0) throw_errno("socket(AF_UNIX)");
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (options_.unix_socket_path.size() >= sizeof addr.sun_path) {
-      throw std::runtime_error("unix socket path too long: " +
-                               options_.unix_socket_path);
-    }
-    std::strncpy(addr.sun_path, options_.unix_socket_path.c_str(),
-                 sizeof addr.sun_path - 1);
-    if (::bind(unix_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-      if (errno == EADDRINUSE) {
-        // Stale socket file (no listener behind it) is replaced; a live
-        // one is a configuration error.
-        const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        const bool live =
-            probe >= 0 &&
-            ::connect(probe, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
-        if (probe >= 0) ::close(probe);
-        if (live) {
-          throw std::runtime_error("socket path in use by a live server: " +
-                                   options_.unix_socket_path);
-        }
-        ::unlink(options_.unix_socket_path.c_str());
-        if (::bind(unix_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-          throw_errno("bind(" + options_.unix_socket_path + ")");
-        }
-      } else {
-        throw_errno("bind(" + options_.unix_socket_path + ")");
-      }
-    }
-    unix_bound = true;
-    if (::listen(unix_fd_, 128) != 0) throw_errno("listen(unix)");
-  }
-  if (options_.tcp_port >= 0) {
-    tcp_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (tcp_fd_ < 0) throw_errno("socket(AF_INET)");
-    const int one = 1;
-    ::setsockopt(tcp_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    const std::string host =
-        options_.tcp_bind_host.empty() ? "127.0.0.1" : options_.tcp_bind_host;
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      addrinfo hints{};
-      hints.ai_family = AF_INET;
-      hints.ai_socktype = SOCK_STREAM;
-      addrinfo* res = nullptr;
-      const int rc = ::getaddrinfo(host.c_str(), nullptr, &hints, &res);
-      if (rc != 0 || res == nullptr) {
-        throw std::runtime_error("Router::start: cannot resolve bind host '" + host +
-                                 "': " + ::gai_strerror(rc));
-      }
-      addr.sin_addr = reinterpret_cast<sockaddr_in*>(res->ai_addr)->sin_addr;
-      ::freeaddrinfo(res);
-    }
-    addr.sin_port = htons(static_cast<std::uint16_t>(options_.tcp_port));
-    if (::bind(tcp_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-      throw_errno("bind(" + host + ":" + std::to_string(options_.tcp_port) + ")");
-    }
-    if (::listen(tcp_fd_, 128) != 0) throw_errno("listen(tcp)");
-    sockaddr_in bound{};
-    socklen_t len = sizeof bound;
-    if (::getsockname(tcp_fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-      bound_tcp_port_ = static_cast<int>(ntohs(bound.sin_port));
-    }
-  }
-  if (::pipe(wake_pipe_) != 0) throw_errno("pipe");
-  guard.armed = false;
-
-  started_at_ = std::chrono::steady_clock::now();
   running_.store(true);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  try {
+    frame_.start();
+  } catch (...) {
+    running_.store(false);
+    throw;
+  }
   if (options_.probe_interval_ms > 0.0) {
     stopping_prober_ = false;
     prober_thread_ = std::thread([this] { prober_loop(); });
@@ -438,106 +298,14 @@ void Router::stop_and_drain() {
     prober_cv_.notify_all();
     prober_thread_.join();
   }
-  // 2. Stop accepting.
-  [[maybe_unused]] const ::ssize_t wrc = ::write(wake_pipe_[1], "x", 1);
-  accept_thread_.join();
-  // 3. Half-close client connections: pending reads return EOF,
-  //    in-flight responses still go out.
-  {
-    std::lock_guard lock(conns_mutex_);
-    for (const auto& c : conns_) {
-      if (!c->done.load()) ::shutdown(c->fd, SHUT_RD);
-    }
-  }
-  {
-    std::lock_guard lock(conns_mutex_);
-    for (const auto& c : conns_) {
-      if (c->thread.joinable()) c->thread.join();
-      if (c->fd >= 0) ::close(c->fd);
-    }
-    conns_.clear();
-  }
-  // 4. Drop pooled upstream connections.
+  // 2. Client connections: stop accepting, finish in-flight requests,
+  //    close the listeners, remove the socket file.
+  frame_.drain();
+  // 3. Drop pooled upstream connections.
   for (const auto& b : backends_) {
     std::lock_guard lock(b->mutex);
     b->idle.clear();
   }
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
-  wake_pipe_[0] = wake_pipe_[1] = -1;
-  if (!options_.unix_socket_path.empty()) {
-    ::unlink(options_.unix_socket_path.c_str());
-  }
-}
-
-// --- Router: accept/connection plumbing ----------------------------------
-
-void Router::accept_loop() {
-  std::vector<pollfd> fds;
-  if (unix_fd_ >= 0) fds.push_back(pollfd{unix_fd_, POLLIN, 0});
-  if (tcp_fd_ >= 0) fds.push_back(pollfd{tcp_fd_, POLLIN, 0});
-  fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
-  for (;;) {
-    const int rc = ::poll(fds.data(), fds.size(), 200);
-    if (rc < 0 && errno != EINTR) break;
-    if (fds.back().revents != 0) break;  // wake pipe: shutting down
-    for (std::size_t i = 0; rc > 0 && i + 1 < fds.size(); ++i) {
-      if ((fds[i].revents & POLLIN) == 0) continue;
-      const int conn_fd = ::accept(fds[i].fd, nullptr, nullptr);
-      if (conn_fd < 0) continue;
-      std::lock_guard lock(conns_mutex_);
-      conns_.push_back(std::make_unique<Connection>());
-      Connection* c = conns_.back().get();
-      c->fd = conn_fd;
-      c->thread = std::thread([this, c] { connection_main(c); });
-      metrics_.counter("mcr_connections_total").add(1);
-    }
-    reap_finished_connections();
-  }
-  if (unix_fd_ >= 0) ::close(unix_fd_);
-  if (tcp_fd_ >= 0) ::close(tcp_fd_);
-  unix_fd_ = tcp_fd_ = -1;
-}
-
-void Router::reap_finished_connections() {
-  std::lock_guard lock(conns_mutex_);
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    if ((*it)->done.load() && (*it)->thread.joinable()) {
-      (*it)->thread.join();
-      if ((*it)->fd >= 0) ::close((*it)->fd);
-      it = conns_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  metrics_.gauge("mcr_active_connections")
-      .set(static_cast<std::int64_t>(conns_.size()));
-}
-
-void Router::connection_main(Connection* conn) {
-  std::string payload;
-  for (;;) {
-    const ReadStatus st = read_frame(conn->fd, options_.max_frame_bytes, payload);
-    if (st == ReadStatus::kClosed || st == ReadStatus::kTruncated) break;
-    if (st == ReadStatus::kBadMagic || st == ReadStatus::kTooLarge) {
-      metrics_.counter("mcr_bad_frames_total").add(1);
-      const char* code = st == ReadStatus::kTooLarge ? kErrFrameTooLarge : kErrBadFrame;
-      const char* msg = st == ReadStatus::kTooLarge
-                            ? "frame exceeds the router's size limit"
-                            : "bad frame magic (expected MCR1)";
-      (void)write_all(conn->fd, encode_frame(error_payload(code, msg)));
-      break;
-    }
-    std::string response;
-    try {
-      response = handle_request(payload);
-    } catch (...) {
-      metrics_.counter("mcr_connection_errors_total").add(1);
-      response = error_payload(kErrInternal, "internal error routing request");
-    }
-    if (!write_all(conn->fd, encode_frame(response))) break;
-  }
-  conn->done.store(true);
 }
 
 // --- Router: request handling --------------------------------------------
@@ -566,16 +334,15 @@ std::string Router::handle_request(const std::string& payload) {
         client_traced ? payload : with_trace_id(payload, trace_id);
 
     if (verb == "HEALTH") {
-      response = handle_health(trace_id);
+      response = handle_health();
     } else if (verb == "STATS") {
-      response = handle_stats(request, trace_id);
+      response = handle_stats(request);
     } else if (verb == "RELOAD") {
-      response = handle_reload_fanout(forward_payload, trace_id);
+      response = handle_reload_fanout(forward_payload);
     } else if (verb == "LOAD") {
-      response = handle_load(request, forward_payload, trace_id);
+      response = handle_load(request, forward_payload);
     } else {
-      response = forward_with_failover(request, verb, forward_payload, trace_id,
-                                       arrival);
+      response = forward_with_failover(request, verb, forward_payload, arrival);
     }
   } catch (const std::exception& e) {
     response = error_payload(kErrBadRequest, e.what());
@@ -584,24 +351,10 @@ std::string Router::handle_request(const std::string& payload) {
   if (response.find("\"trace_id\"") == std::string::npos) {
     response = with_trace_id(response, trace_id);
   }
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - arrival)
-          .count();
-  metrics_.counter(obs::labeled_name("mcr_requests_total", {{"verb", verb}})).add(1);
-  metrics_.histogram("mcr_request_seconds", request_seconds_bounds())
-      .observe(seconds, trace_id);
-  metrics_
-      .histogram(obs::labeled_name("mcr_request_seconds", {{"verb", verb}}),
-                 request_seconds_bounds())
-      .observe(seconds, trace_id);
-  const obs::SlidingWindowHistogram::Options wopt{
-      options_.stats_window_s, options_.stats_window_slots, {}};
-  metrics_.windowed_histogram("mcr_request_seconds", request_seconds_bounds(), wopt)
-      .observe(seconds);
-  metrics_
-      .windowed_histogram(obs::labeled_name("mcr_request_seconds", {{"verb", verb}}),
-                          request_seconds_bounds(), wopt)
-      .observe(seconds);
+  frame_.record_request(
+      verb,
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - arrival).count(),
+      trace_id);
   return response;
 }
 
@@ -797,9 +550,7 @@ void Router::set_draining(Backend& b, bool draining) {
 
 std::string Router::forward_with_failover(
     const json::Value& request, const std::string& verb, const std::string& payload,
-    const std::string& trace_id,
     std::chrono::steady_clock::time_point arrival) {
-  (void)trace_id;
   const std::vector<std::size_t> order = candidate_order(request, verb);
   const double deadline_ms = request.number_or("deadline_ms", 0.0);
   const auto deadline =
@@ -888,9 +639,7 @@ std::string Router::forward_with_failover(
                                          ")");
 }
 
-std::string Router::handle_load(const json::Value& request, const std::string& payload,
-                                const std::string& trace_id) {
-  (void)trace_id;
+std::string Router::handle_load(const json::Value& request, const std::string& payload) {
   const std::string key = routing_key_for(request);
   std::vector<std::size_t> targets;
   if (key.empty()) {
@@ -931,9 +680,7 @@ std::string Router::handle_load(const json::Value& request, const std::string& p
   return error_payload(kErrUpstream, "no healthy replica accepted the LOAD");
 }
 
-std::string Router::handle_reload_fanout(const std::string& payload,
-                                         const std::string& trace_id) {
-  (void)trace_id;
+std::string Router::handle_reload_fanout(const std::string& payload) {
   // RELOAD is NOT idempotent-retried: each eligible backend gets exactly
   // one attempt, and the per-worker outcomes are reported verbatim.
   std::size_t ok_count = 0;
@@ -977,15 +724,10 @@ std::string Router::handle_reload_fanout(const std::string& payload,
   return os.str();
 }
 
-std::string Router::handle_stats(const json::Value& request,
-                                 const std::string& trace_id) {
-  (void)trace_id;
-  const double uptime_s = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - started_at_)
-                              .count();
+std::string Router::handle_stats(const json::Value& request) {
   std::ostringstream os;
   os << "{\"status\":\"ok\",\"service\":\"mcr_router\",\"uptime_seconds\":"
-     << fmt_json_double(uptime_s) << ",\"replicas\":"
+     << fmt_json_double(frame_.uptime_seconds()) << ",\"replicas\":"
      << std::min(options_.replicas, backends_.size())
      << ",\"window_seconds\":" << fmt_json_double(options_.stats_window_s)
      << ",\"backends\":[";
@@ -1002,7 +744,6 @@ std::string Router::handle_stats(const json::Value& request,
       state = b.breaker.state();
     }
     const auto snap = b.latency_window->snapshot();
-    const auto cumulative = obs::SlidingWindowHistogram::cumulative_counts(snap);
     os << "{\"name\":\"" << json_escape(b.address.name) << "\",\"up\":"
        << (up ? "true" : "false") << ",\"draining\":" << (draining ? "true" : "false")
        << ",\"breaker\":\"" << breaker_state_name(state) << "\",\"requests\":"
@@ -1011,13 +752,7 @@ std::string Router::handle_stats(const json::Value& request,
          {std::pair<const char*, double>{"p50_ms", 0.50},
           std::pair<const char*, double>{"p95_ms", 0.95},
           std::pair<const char*, double>{"p99_ms", 0.99}}) {
-      const auto v = obs::histogram_quantile(snap.bounds, cumulative, snap.count, q);
-      os << ",\"" << label << "\":";
-      if (v.has_value()) {
-        os << fmt_json_double(*v * 1000.0);
-      } else {
-        os << "null";
-      }
+      os << ",\"" << label << "\":" << window_quantile_ms_json(snap, q);
     }
     os << '}';
   }
@@ -1057,8 +792,7 @@ std::string Router::handle_stats(const json::Value& request,
   return os.str();
 }
 
-std::string Router::handle_health(const std::string& trace_id) {
-  (void)trace_id;
+std::string Router::handle_health() {
   std::size_t up = 0;
   std::size_t draining = 0;
   for (const auto& bp : backends_) {
@@ -1066,9 +800,6 @@ std::string Router::handle_health(const std::string& trace_id) {
     if (bp->up) ++up;
     if (bp->draining) ++draining;
   }
-  const double uptime_s = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - started_at_)
-                              .count();
   const bool healthy = up > 0 && running_.load();
   std::ostringstream os;
   os << "{\"status\":\"ok\",\"service\":\"mcr_router\",\"healthy\":"
@@ -1076,7 +807,7 @@ std::string Router::handle_health(const std::string& trace_id) {
      << (running_.load() ? "false" : "true") << ",\"backends_total\":"
      << backends_.size() << ",\"backends_up\":" << up
      << ",\"backends_draining\":" << draining
-     << ",\"uptime_seconds\":" << fmt_json_double(uptime_s) << "}";
+     << ",\"uptime_seconds\":" << fmt_json_double(frame_.uptime_seconds()) << "}";
   return os.str();
 }
 

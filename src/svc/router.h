@@ -23,8 +23,10 @@
 //
 // Robustness model (docs/FLEET.md):
 //  - per-backend circuit breaker (closed / open / half-open) fed by
-//    passive failure detection — transport errors and SHUTTING_DOWN
-//    responses — with jittered exponential cooldown;
+//    passive failure detection with jittered exponential cooldown. Only
+//    transport failures count against a backend; every answered frame —
+//    INTERNAL and SHUTTING_DOWN included — is a breaker success, and
+//    SHUTTING_DOWN additionally marks the backend draining;
 //  - an active prober that HEALTH-checks backends on a jittered
 //    interval, closing breakers when a worker comes back and marking
 //    draining workers (they finish in-flight requests, get no new
@@ -34,6 +36,10 @@
 //    carved from the request deadline. A response cut off after
 //    partial bytes is NEVER hedged (the worker may have acted); the
 //    client gets UPSTREAM_UNAVAILABLE (retryable) and decides.
+//
+// Listeners, client connections and the request latency metrics
+// belong to the svc::FrameServer underneath (frame_server.h), the same
+// code mcr_serve runs; the Router is its request handler.
 //
 // Trace context: the router mints a trace_id when the client sent
 // none and splices "parent_span":"router/attempt/<k>" so the worker's
@@ -56,6 +62,7 @@
 
 #include "obs/metrics.h"
 #include "svc/client.h"
+#include "svc/frame_server.h"
 #include "svc/protocol.h"
 
 namespace mcr::json {
@@ -180,7 +187,7 @@ class Router {
   void stop_and_drain();
   [[nodiscard]] bool running() const { return running_.load(); }
   /// Actual TCP port after start() (with tcp_port = 0).
-  [[nodiscard]] int tcp_port() const { return bound_tcp_port_; }
+  [[nodiscard]] int tcp_port() const { return frame_.tcp_port(); }
 
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
 
@@ -221,12 +228,6 @@ class Router {
     obs::SlidingWindowHistogram* latency_window = nullptr;
   };
 
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
   /// Outcome of one upstream round trip.
   struct Forward {
     enum class Status {
@@ -238,22 +239,15 @@ class Router {
     std::string response;
   };
 
-  void accept_loop();
-  void reap_finished_connections();
-  void connection_main(Connection* conn);
   [[nodiscard]] std::string handle_request(const std::string& payload);
   [[nodiscard]] std::string forward_with_failover(
       const json::Value& request, const std::string& verb,
-      const std::string& payload, const std::string& trace_id,
-      std::chrono::steady_clock::time_point arrival);
+      const std::string& payload, std::chrono::steady_clock::time_point arrival);
   [[nodiscard]] std::string handle_load(const json::Value& request,
-                                        const std::string& payload,
-                                        const std::string& trace_id);
-  [[nodiscard]] std::string handle_reload_fanout(const std::string& payload,
-                                                 const std::string& trace_id);
-  [[nodiscard]] std::string handle_stats(const json::Value& request,
-                                         const std::string& trace_id);
-  [[nodiscard]] std::string handle_health(const std::string& trace_id);
+                                        const std::string& payload);
+  [[nodiscard]] std::string handle_reload_fanout(const std::string& payload);
+  [[nodiscard]] std::string handle_stats(const json::Value& request);
+  [[nodiscard]] std::string handle_health();
 
   /// One attempt against a backend. A pooled connection that fails
   /// before any response byte is assumed stale and the request is
@@ -290,24 +284,18 @@ class Router {
   std::vector<std::pair<std::uint64_t, std::size_t>> ring_;
 
   std::atomic<bool> running_{false};
-  std::chrono::steady_clock::time_point started_at_{};
   std::atomic<std::uint64_t> round_robin_{0};  // keyless verbs
   std::atomic<std::uint64_t> replica_spread_{0};  // generator SOLVE spread
-
-  int unix_fd_ = -1;
-  int tcp_fd_ = -1;
-  int bound_tcp_port_ = -1;
-  int wake_pipe_[2] = {-1, -1};
-  std::thread accept_thread_;
-
-  std::mutex conns_mutex_;
-  std::vector<std::unique_ptr<Connection>> conns_;
 
   std::thread prober_thread_;
   std::mutex prober_mutex_;
   std::condition_variable prober_cv_;
   bool stopping_prober_ = false;
   std::uint64_t prober_jitter_state_ = 0x726f'7574'6572'5f70ULL;
+
+  /// Last: its connection threads run handle_request, which uses every
+  /// member above.
+  FrameServer frame_;
 };
 
 }  // namespace mcr::svc

@@ -1,17 +1,7 @@
 #include "svc/server.h"
 
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <new>
 #include <sstream>
@@ -35,10 +25,6 @@
 namespace mcr::svc {
 
 namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
 
 /// Client-facing request error carrying a protocol error code.
 struct RequestError : std::runtime_error {
@@ -99,43 +85,21 @@ Graph generate_from_spec(const json::Value& spec) {
                                          "' (expected sprand | circuit | ring)");
 }
 
-/// Request-latency bucket bounds: log-spaced, three per decade, 10µs
-/// to 10s, so sub-millisecond cached replays and multi-second cold
-/// solves resolve into distinct buckets instead of collapsing into the
-/// coarse default grid.
-std::vector<double> request_seconds_bounds() {
-  std::vector<double> bounds;
-  for (double decade = 1e-5; decade < 10.0; decade *= 10.0) {
-    bounds.push_back(decade);
-    bounds.push_back(decade * 2.1544346900318837);  // 10^(1/3)
-    bounds.push_back(decade * 4.6415888336127790);  // 10^(2/3)
-  }
-  bounds.push_back(10.0);
-  return bounds;
-}
-
-std::string fmt_json_double(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-/// `q`-th percentile of a windowed snapshot in milliseconds, or "null"
-/// when the window holds no observations (never NaN on the wire).
-std::string window_quantile_ms_json(
-    const obs::SlidingWindowHistogram::Snapshot& s, double q) {
-  const auto v = obs::histogram_quantile(
-      s.bounds, obs::SlidingWindowHistogram::cumulative_counts(s), s.count, q);
-  return v.has_value() ? fmt_json_double(*v * 1000.0) : "null";
-}
-
 }  // namespace
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       graphs_(options_.graph_entries, &metrics_),
       cache_(options_.cache_entries, &metrics_),
-      flight_(options_.flight) {
+      flight_(options_.flight),
+      frame_({.unix_socket_path = options_.unix_socket_path,
+              .tcp_port = options_.tcp_port,
+              .tcp_bind_host = options_.tcp_bind_host,
+              .max_frame_bytes = options_.max_frame_bytes,
+              .idle_timeout_ms = options_.idle_timeout_ms,
+              .stats_window_s = options_.stats_window_s,
+              .stats_window_slots = options_.stats_window_slots},
+             metrics_, [this](const std::string& payload) { return handle_request(payload); }) {
   if (!options_.request_log_path.empty()) {
     request_log_ = std::make_unique<RequestLog>(options_.request_log_path);
     if (!request_log_->ok()) {
@@ -149,89 +113,16 @@ Server::~Server() { stop_and_drain(); }
 
 void Server::start() {
   if (running_.load()) throw std::runtime_error("Server::start: already running");
-  if (options_.unix_socket_path.empty() && options_.tcp_port < 0) {
-    throw std::runtime_error("Server::start: no listener configured");
-  }
   obs::export_build_info(metrics_);
 
-  // Attach the dataset before any listener exists: a server configured
-  // with a bad pack should fail to start, not serve NOT_FOUND.
+  // Everything that can fail on configuration runs before any listener
+  // exists. A server configured with a bad pack should fail to start,
+  // not serve NOT_FOUND; a bad --stats-out path fails here rather than
+  // leave a half-started server.
   if (!options_.dataset_path.empty()) attach_dataset(options_.dataset_path);
-
-  if (!options_.unix_socket_path.empty()) {
-    unix_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (unix_fd_ < 0) throw_errno("socket(AF_UNIX)");
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (options_.unix_socket_path.size() >= sizeof addr.sun_path) {
-      throw std::runtime_error("unix socket path too long: " +
-                               options_.unix_socket_path);
-    }
-    std::strncpy(addr.sun_path, options_.unix_socket_path.c_str(),
-                 sizeof addr.sun_path - 1);
-    if (::bind(unix_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-      if (errno == EADDRINUSE) {
-        // A stale socket file from a dead server is safe to replace; a
-        // live server answers the probe connect and we refuse.
-        const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        const bool live =
-            probe >= 0 &&
-            ::connect(probe, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
-        if (probe >= 0) ::close(probe);
-        if (live) {
-          throw std::runtime_error("socket path in use by a live server: " +
-                                   options_.unix_socket_path);
-        }
-        ::unlink(options_.unix_socket_path.c_str());
-        if (::bind(unix_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-          throw_errno("bind(" + options_.unix_socket_path + ")");
-        }
-      } else {
-        throw_errno("bind(" + options_.unix_socket_path + ")");
-      }
-    }
-    if (::listen(unix_fd_, 128) != 0) throw_errno("listen(unix)");
-  }
-  if (options_.tcp_port >= 0) {
-    tcp_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (tcp_fd_ < 0) throw_errno("socket(AF_INET)");
-    const int one = 1;
-    ::setsockopt(tcp_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    const std::string host =
-        options_.tcp_bind_host.empty() ? "127.0.0.1" : options_.tcp_bind_host;
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      addrinfo hints{};
-      hints.ai_family = AF_INET;
-      hints.ai_socktype = SOCK_STREAM;
-      addrinfo* res = nullptr;
-      const int rc = ::getaddrinfo(host.c_str(), nullptr, &hints, &res);
-      if (rc != 0 || res == nullptr) {
-        throw std::runtime_error("Server::start: cannot resolve bind host '" + host +
-                                 "': " + ::gai_strerror(rc));
-      }
-      addr.sin_addr = reinterpret_cast<sockaddr_in*>(res->ai_addr)->sin_addr;
-      ::freeaddrinfo(res);
-    }
-    addr.sin_port = htons(static_cast<std::uint16_t>(options_.tcp_port));
-    if (::bind(tcp_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-      throw_errno("bind(" + host + ":" + std::to_string(options_.tcp_port) + ")");
-    }
-    if (::listen(tcp_fd_, 128) != 0) throw_errno("listen(tcp)");
-    sockaddr_in bound{};
-    socklen_t len = sizeof bound;
-    if (::getsockname(tcp_fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-      bound_tcp_port_ = static_cast<int>(ntohs(bound.sin_port));
-    }
-  }
-  if (::pipe(wake_pipe_) != 0) throw_errno("pipe");
-
   const bool pump_enabled =
       options_.stats_interval_s > 0.0 && !options_.stats_out_path.empty();
   if (pump_enabled) {
-    // Opened before any thread spawns so a bad path fails start()
-    // cleanly instead of leaving a half-started server.
     stats_out_.open(options_.stats_out_path, std::ios::app);
     if (!stats_out_) {
       throw std::runtime_error("Server: cannot open stats output " +
@@ -239,9 +130,14 @@ void Server::start() {
     }
   }
 
-  started_at_ = std::chrono::steady_clock::now();
   running_.store(true);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  try {
+    frame_.start();
+  } catch (...) {
+    running_.store(false);
+    stats_out_.close();
+    throw;
+  }
   dispatch_thread_ = std::thread([this] { dispatch_loop(); });
   watchdog_thread_ = std::thread([this] { watchdog_loop(); });
   if (pump_enabled) stats_thread_ = std::thread([this] { stats_loop(); });
@@ -256,44 +152,25 @@ void Server::stop_and_drain() {
     std::lock_guard lock(queue_mutex_);
     stopping_ = true;  // new SOLVE admissions now answer SHUTTING_DOWN
   }
-  // 1. Stop accepting: wake the poll, join, close listeners.
-  [[maybe_unused]] const ::ssize_t wrc = ::write(wake_pipe_[1], "x", 1);
-  accept_thread_.join();
-  // 2. Half-close every connection: pending reads return EOF, writes
-  //    (in-flight responses) still go through.
-  {
-    std::lock_guard lock(conns_mutex_);
-    for (Connection& c : conns_) {
-      if (!c.done.load()) ::shutdown(c.fd, SHUT_RD);
-    }
-  }
-  // 3. Join connection threads; each finishes its current request first
-  //    (the dispatcher is still alive to complete queued jobs). The fd
-  //    is closed here, after the join — handler threads never close
-  //    their own fd, so the reaper can never race a kernel fd reuse.
-  {
-    std::lock_guard lock(conns_mutex_);
-    for (Connection& c : conns_) {
-      if (c.thread.joinable()) c.thread.join();
-      if (c.fd >= 0) ::close(c.fd);
-    }
-    conns_.clear();
-  }
-  // 4. Dispatcher exits once the (now producer-free) queue drains.
+  // 1. Connections: stop accepting, finish each connection's current
+  //    request (the dispatcher is still alive to complete queued jobs),
+  //    close the listeners, remove the socket file.
+  frame_.drain();
+  // 2. Dispatcher exits once the (now producer-free) queue drains.
   {
     std::lock_guard lock(queue_mutex_);
     stopping_dispatch_ = true;
   }
   queue_cv_.notify_all();
   dispatch_thread_.join();
-  // 5. Watchdog.
+  // 3. Watchdog.
   {
     std::lock_guard lock(deadline_mutex_);
     stopping_watchdog_ = true;
   }
   deadline_cv_.notify_all();
   watchdog_thread_.join();
-  // 6. Stats pump, last — its final line then reflects every request
+  // 4. Stats pump, last — its final line then reflects every request
   //    that completed during the drain.
   if (stats_thread_.joinable()) {
     {
@@ -303,13 +180,6 @@ void Server::stop_and_drain() {
     stats_cv_.notify_all();
     stats_thread_.join();
     stats_out_.close();
-  }
-
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
-  wake_pipe_[0] = wake_pipe_[1] = -1;
-  if (!options_.unix_socket_path.empty()) {
-    ::unlink(options_.unix_socket_path.c_str());
   }
 }
 
@@ -342,116 +212,6 @@ std::shared_ptr<const store::Dataset> Server::reload_dataset() {
     throw std::runtime_error("reload_dataset: no dataset attached");
   }
   return attach_dataset(cur->path);
-}
-
-void Server::accept_loop() {
-  std::vector<pollfd> fds;
-  if (unix_fd_ >= 0) fds.push_back(pollfd{unix_fd_, POLLIN, 0});
-  if (tcp_fd_ >= 0) fds.push_back(pollfd{tcp_fd_, POLLIN, 0});
-  fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
-  for (;;) {
-    // Finite timeout so finished connection threads get reaped even on
-    // an idle listener.
-    const int rc = ::poll(fds.data(), fds.size(), 200);
-    if (rc < 0 && errno != EINTR) break;
-    if (fds.back().revents != 0) break;  // wake pipe: shutting down
-    for (std::size_t i = 0; rc > 0 && i + 1 < fds.size(); ++i) {
-      if ((fds[i].revents & POLLIN) == 0) continue;
-      const int conn_fd = ::accept(fds[i].fd, nullptr, nullptr);
-      if (conn_fd < 0) continue;
-      std::lock_guard lock(conns_mutex_);
-      conns_.emplace_back();
-      Connection& c = conns_.back();
-      c.fd = conn_fd;
-      c.last_activity_ms.store(std::chrono::duration_cast<std::chrono::milliseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-      c.thread = std::thread([this, &c] { connection_main(&c); });
-      metrics_.counter("mcr_connections_total").add(1);
-      metrics_.gauge("mcr_active_connections")
-          .set(static_cast<std::int64_t>(conns_.size()));
-    }
-    reap_idle_connections();
-    reap_finished_connections();
-  }
-  if (unix_fd_ >= 0) ::close(unix_fd_);
-  if (tcp_fd_ >= 0) ::close(tcp_fd_);
-  unix_fd_ = tcp_fd_ = -1;
-}
-
-void Server::reap_finished_connections() {
-  std::lock_guard lock(conns_mutex_);
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    if (it->done.load() && it->thread.joinable()) {
-      it->thread.join();
-      if (it->fd >= 0) ::close(it->fd);
-      it = conns_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  metrics_.gauge("mcr_active_connections")
-      .set(static_cast<std::int64_t>(conns_.size()));
-}
-
-void Server::reap_idle_connections() {
-  if (options_.idle_timeout_ms <= 0) return;
-  const std::int64_t now_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                                  std::chrono::steady_clock::now().time_since_epoch())
-                                  .count();
-  std::lock_guard lock(conns_mutex_);
-  for (Connection& c : conns_) {
-    if (c.done.load() || c.idle_reaped.load()) continue;
-    if (now_ms - c.last_activity_ms.load() < options_.idle_timeout_ms) continue;
-    // Shutting down the socket makes the handler's blocked read return
-    // EOF; the thread then exits normally and the next reap joins it.
-    // The fd itself stays open until that join (see stop_and_drain),
-    // so this can never hit a recycled descriptor.
-    c.idle_reaped.store(true);
-    ::shutdown(c.fd, SHUT_RDWR);
-    metrics_.counter("mcr_idle_reaped_total").add(1);
-  }
-}
-
-void Server::connection_main(Connection* conn) {
-  std::string payload;
-  for (;;) {
-    const ReadStatus st = read_frame(conn->fd, options_.max_frame_bytes, payload);
-    if (st == ReadStatus::kClosed || st == ReadStatus::kTruncated) break;
-    conn->last_activity_ms.store(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-    if (st == ReadStatus::kBadMagic || st == ReadStatus::kTooLarge) {
-      // Framing is unrecoverable: report (best effort) and close.
-      metrics_.counter("mcr_bad_frames_total").add(1);
-      const char* code =
-          st == ReadStatus::kTooLarge ? kErrFrameTooLarge : kErrBadFrame;
-      const char* msg = st == ReadStatus::kTooLarge
-                            ? "frame exceeds the server's size limit"
-                            : "bad frame magic (expected MCR1)";
-      (void)write_all(conn->fd, encode_frame(error_payload(code, msg)));
-      break;
-    }
-    // Per-connection error isolation: nothing a single request does —
-    // allocation failure included — may take down the server or any
-    // other connection. handle_request maps everything it can to a
-    // typed error payload; this is the last-resort belt for what it
-    // cannot (bad_alloc while *building* a response, foreign throw
-    // types).
-    std::string response;
-    try {
-      response = handle_request(payload);
-    } catch (...) {
-      metrics_.counter("mcr_connection_errors_total").add(1);
-      response = error_payload(kErrInternal, "internal error handling request");
-    }
-    if (!write_all(conn->fd, encode_frame(response))) break;
-  }
-  // The fd is deliberately left open: reap_finished_connections (or
-  // stop_and_drain) closes it after joining this thread, so the idle
-  // reaper can never shut down a recycled descriptor.
-  conn->done.store(true);
 }
 
 std::string Server::handle_request(const std::string& payload) {
@@ -555,20 +315,7 @@ void Server::finish_request(RequestContext& ctx, double total_ms) {
     entry.total_ms = total_ms;
     request_log_->write(entry);
   }
-  metrics_.counter(obs::labeled_name("mcr_requests_total", {{"verb", ctx.verb}}))
-      .add(1);
-  const double seconds = total_ms / 1000.0;
-  metrics_.histogram("mcr_request_seconds", request_seconds_bounds())
-      .observe(seconds, ctx.trace_id);
-  metrics_
-      .histogram(
-          obs::labeled_name("mcr_request_seconds", {{"verb", ctx.verb}}),
-          request_seconds_bounds())
-      .observe(seconds, ctx.trace_id);
-  // Windowed companions of the same family: what STATS {"window":true},
-  // the stats pump, and `mcr_query top` read.
-  windowed_request_seconds("").observe(seconds);
-  windowed_request_seconds(ctx.verb).observe(seconds);
+  frame_.record_request(ctx.verb, total_ms / 1000.0, ctx.trace_id);
 }
 
 std::string Server::handle_trace(const json::Value& req) const {
@@ -692,7 +439,7 @@ std::string Server::handle_solvers() const {
 
 std::string Server::handle_stats(const json::Value& req) const {
   std::string out = "{\"status\":\"ok\",\"uptime_seconds\":";
-  out += fmt_json_double(uptime_seconds());
+  out += fmt_json_double(frame_.uptime_seconds());
   out += ",\"build\":";
   out += obs::build_info_json();
   if (const auto ds = dataset_.current(); ds != nullptr) {
@@ -715,23 +462,6 @@ std::string Server::handle_stats(const json::Value& req) const {
   out += json_escape(metrics_.prometheus_text());
   out += "\"}";
   return out;
-}
-
-double Server::uptime_seconds() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       started_at_)
-      .count();
-}
-
-obs::SlidingWindowHistogram& Server::windowed_request_seconds(
-    const std::string& verb) {
-  obs::SlidingWindowHistogram::Options wopt;
-  wopt.window_seconds = options_.stats_window_s;
-  wopt.slots = options_.stats_window_slots;
-  const std::string name =
-      verb.empty() ? "mcr_request_seconds"
-                   : obs::labeled_name("mcr_request_seconds", {{"verb", verb}});
-  return metrics_.windowed_histogram(name, request_seconds_bounds(), wopt);
 }
 
 std::string Server::window_json() const {
@@ -763,7 +493,7 @@ std::string Server::window_json() const {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += json_escape(verb);  // verbs come off the wire; keep the JSON valid
+    out += json_escape(verb);  // a label value; keep the JSON valid whatever it holds
     out += "\":{\"count\":" + std::to_string(snap.count);
     // All verbs share one request timeline, so every rate is computed
     // over the window-wide covered span — a per-instrument span would
@@ -791,14 +521,8 @@ std::string Server::handle_health() {
     in_flight = in_flight_;
     stopping = stopping_;
   }
-  std::size_t connections = 0;
-  {
-    std::lock_guard lock(conns_mutex_);
-    connections = conns_.size();
-  }
+  const std::size_t connections = frame_.connections();
   const auto now = std::chrono::steady_clock::now();
-  const double uptime_s =
-      std::chrono::duration<double>(now - started_at_).count();
   const std::int64_t last_ns = last_solve_steady_ns_.load();
   const double last_solve_age_s =
       last_ns < 0 ? -1.0
@@ -810,7 +534,8 @@ std::string Server::handle_health() {
      << ",\"draining\":" << (stopping ? "true" : "false")
      << ",\"queue_depth\":" << depth << ",\"in_flight\":" << in_flight
      << ",\"queue_capacity\":" << options_.queue_capacity
-     << ",\"connections\":" << connections << ",\"uptime_seconds\":" << uptime_s
+     << ",\"connections\":" << connections
+     << ",\"uptime_seconds\":" << frame_.uptime_seconds()
      << ",\"last_solve_age_seconds\":" << last_solve_age_s << "}";
   return os.str();
 }
@@ -821,7 +546,7 @@ std::string Server::telemetry_snapshot_json() {
           std::chrono::system_clock::now().time_since_epoch())
           .count();
   std::string out = "{\"ts_ms\":" + std::to_string(ts_ms);
-  out += ",\"uptime_seconds\":" + fmt_json_double(uptime_seconds());
+  out += ",\"uptime_seconds\":" + fmt_json_double(frame_.uptime_seconds());
   out += ",\"window\":";
   out += window_json();
   out += ",\"gauges\":{";

@@ -21,10 +21,14 @@
 // immediately with BUSY (explicit backpressure — the client decides
 // whether to retry; nothing hangs, nothing is silently dropped).
 //
+// Listeners, connection threads, frame errors, drain and the request
+// latency metrics belong to the svc::FrameServer underneath
+// (frame_server.h); the Server is its request handler.
+//
 // Shutdown (stop_and_drain, wired to SIGTERM in mcr_serve): stop
 // accepting, half-close existing connections so no new requests enter,
-// finish every in-flight request, then retire the dispatcher and
-// watchdog. In-flight work is never abandoned.
+// finish every in-flight request, then retire the dispatcher, watchdog
+// and stats pump. In-flight work is never abandoned.
 #ifndef MCR_SVC_SERVER_H
 #define MCR_SVC_SERVER_H
 
@@ -35,7 +39,6 @@
 #include <cstdint>
 #include <deque>
 #include <fstream>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -48,6 +51,7 @@
 #include "obs/obs.h"
 #include "store/dataset_watcher.h"
 #include "svc/cache.h"
+#include "svc/frame_server.h"
 #include "svc/graph_registry.h"
 #include "svc/protocol.h"
 #include "svc/request_log.h"
@@ -133,9 +137,10 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the configured listeners and spawns the service threads.
-  /// Throws std::runtime_error when no listener is configured or a
-  /// bind/listen fails.
+  /// Attaches --dataset, opens --stats-out, binds the configured
+  /// listeners and spawns the service threads. Throws (std::runtime_error,
+  /// store::PackError) on any failure, leaving no listener fd or socket
+  /// file behind; start() may then be called again.
   void start();
 
   /// Graceful shutdown: stop accepting, complete every in-flight
@@ -146,7 +151,7 @@ class Server {
   [[nodiscard]] bool running() const { return running_.load(); }
 
   /// Actual TCP port after start() (useful with tcp_port = 0).
-  [[nodiscard]] int tcp_port() const { return bound_tcp_port_; }
+  [[nodiscard]] int tcp_port() const { return frame_.tcp_port(); }
 
   /// Loads a DIMACS file into the registry (the --preload path in
   /// mcr_serve); returns the fingerprint. Call before or after start().
@@ -226,19 +231,6 @@ class Server {
     std::string error_code;
     std::string error_message;
   };
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done{false};
-    /// Steady-clock ms of the last frame activity (idle reaper input).
-    std::atomic<std::int64_t> last_activity_ms{0};
-    /// Set once by the reaper so a connection is shut down and counted
-    /// at most once.
-    std::atomic<bool> idle_reaped{false};
-  };
-
-  void accept_loop();
-  void connection_main(Connection* conn);
   void dispatch_loop();
   void watchdog_loop();
   void stats_loop();
@@ -259,15 +251,10 @@ class Server {
   /// windowed per-verb count/rps/percentiles, shared by STATS
   /// {"window":true} and the stats pump.
   [[nodiscard]] std::string window_json() const;
-  [[nodiscard]] double uptime_seconds() const;
-  /// The windowed companion of the mcr_request_seconds family
-  /// (aggregate when `verb` is empty).
-  obs::SlidingWindowHistogram& windowed_request_seconds(
-      const std::string& verb);
 
   /// Tail of handle_request: finishes the flight-recorder trace, writes
-  /// the access-log line, and records the request latency (aggregate +
-  /// per-verb histograms, exemplared with the trace id).
+  /// the access-log line, and records the request latency with the
+  /// FrameServer.
   void finish_request(RequestContext& ctx, double total_ms);
 
   /// Parses the request's graph source ("fingerprint" | "dimacs" |
@@ -283,8 +270,6 @@ class Server {
                       const std::string& message);
   void fulfill(SolveJob& job);
   void arm_deadline(const std::shared_ptr<SolveJob>& job);
-  void reap_finished_connections();
-  void reap_idle_connections();
 
   ServerOptions options_;
   obs::MetricsRegistry metrics_;
@@ -302,16 +287,10 @@ class Server {
   /// dataset that nothing will ever serve (see test_svc
   /// ReloadDuringDrainIsRefused).
   std::atomic<bool> draining_{false};
-  std::chrono::steady_clock::time_point started_at_{};
   /// Steady-clock ns of the most recent solve completion (ok or error);
   /// -1 until the first one. HEALTH reports its age.
   std::atomic<std::int64_t> last_solve_steady_ns_{-1};
-  int unix_fd_ = -1;
-  int tcp_fd_ = -1;
-  int bound_tcp_port_ = -1;
-  int wake_pipe_[2] = {-1, -1};
 
-  std::thread accept_thread_;
   std::thread dispatch_thread_;
   std::thread watchdog_thread_;
   std::thread stats_thread_;
@@ -323,9 +302,6 @@ class Server {
   /// Counter baseline for the pump's per-line deltas; touched only by
   /// telemetry_snapshot_json (pump thread, or a test driving it).
   std::map<std::string, std::uint64_t> stats_prev_counters_;
-
-  std::mutex conns_mutex_;
-  std::list<Connection> conns_;
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
@@ -341,6 +317,10 @@ class Server {
                         std::weak_ptr<std::atomic<bool>>>>
       deadlines_;
   bool stopping_watchdog_ = false;
+
+  /// Last: its connection threads run handle_request, which uses every
+  /// member above.
+  FrameServer frame_;
 };
 
 }  // namespace mcr::svc

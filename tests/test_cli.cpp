@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <stdexcept>
 
 namespace mcr::cli {
@@ -95,6 +96,18 @@ TEST(Cli, GetAllPreservesEveryOccurrenceInOrder) {
 TEST(Cli, GetAllOfMissingKeyIsEmpty) {
   const Options o = parse({"--n", "1"});
   EXPECT_TRUE(o.get_all("missing").empty());
+}
+
+TEST(Cli, SignalPipeDeliversHangupsThenReturnsOnShutdown) {
+  install_signal_pipe(/*hangup=*/true);
+  // Signals raised before anyone waits are not lost: the self-pipe
+  // buffers them, as when SIGTERM lands during a daemon's startup.
+  ASSERT_EQ(std::raise(SIGHUP), 0);
+  ASSERT_EQ(std::raise(SIGHUP), 0);
+  ASSERT_EQ(std::raise(SIGTERM), 0);
+  int hangups = 0;
+  wait_for_shutdown([&] { ++hangups; });
+  EXPECT_EQ(hangups, 2);
 }
 
 }  // namespace

@@ -4,13 +4,18 @@
 // and a live router over real in-process mcr_serve workers — failover
 // on worker death with zero client-visible errors, breaker open /
 // probe-driven re-close, LOAD fan-out to the replica set, STATS
-// fan-in, and a mixed-verb concurrency hammer (runs under TSan in CI).
+// fan-in, the INTERNAL-is-not-a-failover rule against bare FrameServer
+// workers, the guarded-start contract both daemons share, and a
+// mixed-verb concurrency hammer (runs under TSan in CI).
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -25,6 +30,7 @@
 #include "support/json.h"
 #include "svc/client.h"
 #include "svc/errors.h"
+#include "svc/frame_server.h"
 #include "svc/protocol.h"
 #include "svc/router.h"
 #include "svc/server.h"
@@ -565,38 +571,133 @@ TEST(RouterFleet, StalePooledConnectionsDoNotFeedTheBreaker) {
   }
 }
 
-TEST(RouterStart, PartialStartFailureLeavesNoListenerResidue) {
-  // Occupy a TCP port so the second router's TCP bind fails after its
-  // unix listener has already bound.
-  svc::RouterOptions holder_opts;
-  holder_opts.workers.push_back(svc::parse_backend_address("unix:/tmp/w_none.sock"));
-  holder_opts.unix_socket_path = unique_socket_path();
-  holder_opts.tcp_port = 0;  // ephemeral
-  holder_opts.probe_interval_ms = 0.0;
-  svc::Router holder(std::move(holder_opts));
-  holder.start();
-  ASSERT_GT(holder.tcp_port(), 0);
+TEST(RouterFleet, WorkerInternalErrorIsReturnedVerbatimWithoutFailover) {
+  // The breaker rule (docs/FLEET.md): a worker that answers at all is
+  // healthy, so its INTERNAL counts as a breaker success and goes back
+  // to the client as-is — another replica would run the same request
+  // into the same failure. The workers are bare FrameServers whose only
+  // answer is INTERNAL.
+  const std::string internal = svc::error_payload(svc::kErrInternal, "worker fell over");
+  std::atomic<int> served{0};
+  obs::MetricsRegistry worker_metrics;
+  std::vector<std::unique_ptr<svc::FrameServer>> workers;
+  svc::RouterOptions ro;
+  for (int i = 0; i < 2; ++i) {
+    svc::FrameServerConfig fc;
+    fc.unix_socket_path = unique_socket_path();
+    workers.push_back(std::make_unique<svc::FrameServer>(
+        fc, worker_metrics, [&](const std::string&) {
+          served.fetch_add(1);
+          return internal;
+        }));
+    workers.back()->start();
+    ro.workers.push_back(svc::parse_backend_address("unix:" + fc.unix_socket_path));
+  }
+  ro.replicas = 2;  // a second replica is there to fail over to
+  ro.unix_socket_path = unique_socket_path();
+  ro.probe_interval_ms = 0.0;
+  const std::string router_path = ro.unix_socket_path;
+  svc::Router router(std::move(ro));
+  router.start();
 
+  svc::Client client = svc::Client::connect_unix(router_path);
+  const json::Value r =
+      client.request(R"({"verb":"SOLVE","fingerprint":"0123456789abcdef"})");
+  EXPECT_EQ(r.string_or("status", ""), "error");
+  EXPECT_EQ(r.string_or("code", ""), svc::kErrInternal);
+  EXPECT_EQ(r.string_or("message", ""), "worker fell over");
+  EXPECT_EQ(served.load(), 1);  // no second attempt
+  EXPECT_EQ(router.metrics().counter("mcr_router_failovers_total").value(), 0u);
+  for (const auto& snap : router.backend_snapshots()) {
+    EXPECT_TRUE(snap.up) << snap.name;
+    EXPECT_EQ(snap.breaker, svc::CircuitBreaker::State::kClosed) << snap.name;
+    EXPECT_EQ(snap.failures, 0u) << snap.name;
+  }
+  router.stop_and_drain();
+}
+
+// ---------------------------------------------------------------------------
+// Guarded start, shared by both daemons through svc::FrameServer.
+
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+/// A start() that fails partway must leave no socket file (which would
+/// shadow a later bind as "stale") and no open fd, must not report
+/// running, and must not stop the same object from starting once
+/// `clear_conflict` has removed the cause.
+template <class Daemon>
+void expect_failed_start_leaves_no_residue(Daemon& daemon, const std::string& socket_path,
+                                           const std::function<void()>& clear_conflict) {
+  const std::size_t fds_before = open_fd_count();
+  EXPECT_THROW(daemon.start(), std::runtime_error);
+  EXPECT_NE(::access(socket_path.c_str(), F_OK), 0) << "socket file left behind";
+  EXPECT_EQ(open_fd_count(), fds_before) << "fds leaked by the failed start";
+  EXPECT_FALSE(daemon.running());
+
+  clear_conflict();
+  daemon.start();
+  EXPECT_TRUE(daemon.running());
+  EXPECT_EQ(::access(socket_path.c_str(), F_OK), 0);
+  daemon.stop_and_drain();
+  EXPECT_NE(::access(socket_path.c_str(), F_OK), 0);
+}
+
+/// A live server holding an ephemeral TCP port, so a daemon configured
+/// with that port fails its TCP bind after its unix listener has bound.
+struct TakenTcpPort {
+  TakenTcpPort() : holder(options()) { holder.start(); }
+  static svc::ServerOptions options() {
+    svc::ServerOptions so;
+    so.tcp_port = 0;
+    return so;
+  }
+  [[nodiscard]] int port() const { return holder.tcp_port(); }
+  void release() { holder.stop_and_drain(); }
+
+  svc::Server holder;
+};
+
+TEST(RouterStart, PartialStartFailureLeavesNoListenerResidue) {
+  TakenTcpPort taken;
+  ASSERT_GT(taken.port(), 0);
   svc::RouterOptions ro;
   ro.workers.push_back(svc::parse_backend_address("unix:/tmp/w_none.sock"));
   ro.unix_socket_path = unique_socket_path();
-  ro.tcp_port = holder.tcp_port();  // taken: bind must fail
+  ro.tcp_port = taken.port();  // taken: bind must fail
   ro.probe_interval_ms = 0.0;
   const std::string path = ro.unix_socket_path;
   svc::Router router(std::move(ro));
-  EXPECT_THROW(router.start(), std::runtime_error);
-  // The partially-built listeners were torn down: no orphaned socket
-  // file (which would shadow a later bind as "stale"), not running.
-  EXPECT_NE(::access(path.c_str(), F_OK), 0);
-  EXPECT_FALSE(router.running());
+  expect_failed_start_leaves_no_residue(router, path, [&] { taken.release(); });
+}
 
-  // And the same router starts cleanly once the conflict clears.
-  holder.stop_and_drain();
-  router.start();
-  EXPECT_TRUE(router.running());
-  EXPECT_EQ(::access(path.c_str(), F_OK), 0);
-  router.stop_and_drain();
-  EXPECT_NE(::access(path.c_str(), F_OK), 0);
+TEST(ServerStart, PartialStartFailureLeavesNoListenerResidue) {
+  TakenTcpPort taken;
+  ASSERT_GT(taken.port(), 0);
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  so.tcp_port = taken.port();  // taken: bind must fail
+  svc::Server server(so);
+  expect_failed_start_leaves_no_residue(server, so.unix_socket_path,
+                                        [&] { taken.release(); });
+}
+
+TEST(ServerStart, UnopenableStatsOutLeavesNoListenerResidue) {
+  const std::string dir = unique_socket_path() + ".d";  // does not exist yet
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  so.stats_interval_s = 1.0;
+  so.stats_out_path = dir + "/stats.jsonl";
+  svc::Server server(so);
+  expect_failed_start_leaves_no_residue(server, so.unix_socket_path,
+                                        [&] { ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0); });
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RouterFleet, DrainingWorkerGetsNoNewRequests) {

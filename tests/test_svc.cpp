@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -36,6 +37,7 @@
 #include "store/pack_writer.h"
 #include "svc/request_log.h"
 #include "svc/result_json.h"
+#include "svc/router.h"
 #include "svc/server.h"
 
 namespace {
@@ -826,6 +828,71 @@ TEST(SvcServer, IdleReaperShutsDownStaleConnections) {
   // not a server-wide degradation.
   svc::Client fresh = svc::Client::connect_unix(so.unix_socket_path);
   EXPECT_TRUE(fresh.ping());
+  server.stop_and_drain();
+}
+
+/// Every verb label value ({verb="..."}) across the registry's counters
+/// and windowed histograms.
+std::set<std::string> verb_labels(const obs::MetricsRegistry& metrics) {
+  std::set<std::string> out;
+  const auto add = [&](const std::string& name) {
+    const auto at = name.find("{verb=");
+    if (at != std::string::npos) out.insert(name.substr(at));
+  };
+  for (const auto& [name, value] : metrics.counter_values()) add(name);
+  for (const auto& [name, snap] : metrics.windowed_snapshots()) add(name);
+  return out;
+}
+
+/// Client-chosen verbs must not grow the metric label set: 50 distinct
+/// junk verbs, a missing verb and an empty one add at most the single
+/// verb="other" family.
+void expect_junk_verbs_add_at_most_one_label(svc::Client& client,
+                                             const obs::MetricsRegistry& metrics) {
+  ASSERT_TRUE(client.ping());  // materialize the families every request touches
+  const std::size_t counters_before = metrics.counter_values().size();
+  const std::size_t windowed_before = metrics.windowed_snapshots().size();
+  const std::set<std::string> labels_before = verb_labels(metrics);
+  for (int i = 0; i < 50; ++i) {
+    const json::Value r =
+        client.request(R"({"verb":"JUNK_)" + std::to_string(i) + R"("})");
+    EXPECT_EQ(r.string_or("code", ""), "BAD_REQUEST") << i;
+  }
+  EXPECT_EQ(client.request(R"({"graph":"no verb"})").string_or("code", ""), "BAD_REQUEST");
+  EXPECT_EQ(client.request(R"({"verb":""})").string_or("code", ""), "BAD_REQUEST");
+
+  EXPECT_LE(metrics.counter_values().size(), counters_before + 1);
+  EXPECT_LE(metrics.windowed_snapshots().size(), windowed_before + 1);
+  for (const std::string& label : verb_labels(metrics)) {
+    if (labels_before.count(label) == 0) {
+      EXPECT_EQ(label, "{verb=\"other\"}");
+    }
+  }
+}
+
+TEST(SvcMetrics, JunkVerbsAddAtMostOneLabelOnServerAndRouter) {
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  svc::Server server(so);
+  server.start();
+  {
+    svc::Client client = svc::Client::connect_unix(so.unix_socket_path);
+    expect_junk_verbs_add_at_most_one_label(client, server.metrics());
+  }
+
+  // The router labels its own request metrics by the same rule.
+  svc::RouterOptions ro;
+  ro.workers.push_back(svc::parse_backend_address("unix:" + so.unix_socket_path));
+  ro.unix_socket_path = unique_socket_path();
+  ro.probe_interval_ms = 0.0;
+  const std::string router_path = ro.unix_socket_path;
+  svc::Router router(std::move(ro));
+  router.start();
+  {
+    svc::Client client = svc::Client::connect_unix(router_path);
+    expect_junk_verbs_add_at_most_one_label(client, router.metrics());
+  }
+  router.stop_and_drain();
   server.stop_and_drain();
 }
 

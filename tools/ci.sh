@@ -28,7 +28,9 @@
 # regressions (exit 0), and the A-vs-B cross-run diff uses a generous
 # threshold since CI machines are noisy (see docs/BENCHMARKING.md).
 # The Release config additionally gates against the committed
-# BENCH_baseline.json via the bench_all.sh --update-baseline recipe.
+# BENCH_baseline.json via the bench_all.sh --update-baseline recipe, and
+# runs the end-to-end benchmark's answer check (e2e_bench built into
+# build-e2e, ctest bench_e2e_smoke_trace0).
 # The sanitizer configs compile the fault-injection hooks in and run the
 # mcr_chaos seeded sweep (ASan, with --repeat-check; the sweep's
 # in-process servers run tiny always-on flight recorders whose capacity
@@ -300,6 +302,15 @@ if [[ "$FAST" == 0 ]]; then
   store_smoke build
   router_smoke build
   bench_smoke build
+
+  echo "=== e2e benchmark answer check ==="
+  # One short pass over all four benchmark workloads: every SOLVE answer
+  # is byte-compared against verified results through both mcr_serve and
+  # mcr_router, and the router's failover counters must stay 0
+  # (e2e_bench/README.md).
+  run cmake -S e2e_bench -B build-e2e -DCMAKE_BUILD_TYPE=Release
+  run cmake --build build-e2e -j "$JOBS"
+  run ctest --test-dir build-e2e -R bench_e2e_smoke_trace0 --output-on-failure
 
   echo "=== bench baseline gate ==="
   # Gate against the committed baseline: rerun the exact recipe that

@@ -1,8 +1,25 @@
 #include "cli.h"
 
+#include <unistd.h>
+
+#include <csignal>
 #include <stdexcept>
 
 namespace mcr::cli {
+
+namespace {
+
+int g_signal_pipe[2] = {-1, -1};
+
+void on_shutdown_signal(int) {
+  [[maybe_unused]] const ssize_t rc = ::write(g_signal_pipe[1], "x", 1);
+}
+
+void on_hangup_signal(int) {
+  [[maybe_unused]] const ssize_t rc = ::write(g_signal_pipe[1], "h", 1);
+}
+
+}  // namespace
 
 std::string Options::get(const std::string& key, const std::string& fallback) const {
   const auto it = named.find(key);
@@ -95,6 +112,24 @@ Options parse(int argc, const char* const* argv) {
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
   return parse(args);
+}
+
+void install_signal_pipe(bool hangup) {
+  if (::pipe(g_signal_pipe) != 0) throw std::runtime_error("cannot create signal pipe");
+  std::signal(SIGPIPE, SIG_IGN);
+  std::signal(SIGTERM, on_shutdown_signal);
+  std::signal(SIGINT, on_shutdown_signal);
+  if (hangup) std::signal(SIGHUP, on_hangup_signal);
+}
+
+void wait_for_shutdown(const std::function<void()>& on_hangup) {
+  for (;;) {
+    char byte = 0;
+    const ssize_t got = ::read(g_signal_pipe[0], &byte, 1);
+    if (got < 0) continue;  // EINTR: retry and pick up the handler's byte
+    if (got == 0 || byte != 'h') return;
+    if (on_hangup) on_hangup();
+  }
 }
 
 }  // namespace mcr::cli

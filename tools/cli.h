@@ -1,11 +1,13 @@
 // Minimal command-line option parsing shared by the mcr tools.
 // Deliberately tiny: "--key value", "--key=value", bare "--flag", and
 // positional arguments. Parsing is a pure function over strings so the
-// test suite can drive it without spawning processes.
+// test suite can drive it without spawning processes. Also the daemons'
+// shared signal handling (install_signal_pipe / wait_for_shutdown).
 #ifndef MCR_TOOLS_CLI_H
 #define MCR_TOOLS_CLI_H
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -41,6 +43,21 @@ struct Options {
 /// input (e.g. "---x" or a lone "--").
 [[nodiscard]] Options parse(const std::vector<std::string>& args);
 [[nodiscard]] Options parse(int argc, const char* const* argv);
+
+/// Daemon signal handling through a self-pipe: SIGPIPE is ignored, and
+/// SIGTERM/SIGINT (plus SIGHUP when `hangup` is set) only write a byte
+/// that wait_for_shutdown() reads on the main thread, where the
+/// non-async-signal-safe drain can run. Call it BEFORE start(): a
+/// supervisor restarting quickly can deliver SIGTERM during startup, and
+/// the default action would skip the drain (dropping in-flight work,
+/// orphaning the socket file). Throws std::runtime_error when the pipe
+/// cannot be created.
+void install_signal_pipe(bool hangup);
+
+/// Blocks until SIGTERM or SIGINT has arrived (returning at once for
+/// one that arrived earlier), calling `on_hangup` for each SIGHUP before
+/// it.
+void wait_for_shutdown(const std::function<void()>& on_hangup = {});
 
 }  // namespace mcr::cli
 

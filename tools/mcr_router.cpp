@@ -39,26 +39,13 @@
 //
 // SIGTERM / SIGINT drain gracefully: stop accepting, finish in-flight
 // client requests, exit 0.
-#include <csignal>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "cli.h"
 #include "obs/build_info.h"
 #include "svc/router.h"
-
-namespace {
-
-int g_signal_pipe[2] = {-1, -1};
-
-void on_signal(int) {
-  [[maybe_unused]] const ssize_t rc = ::write(g_signal_pipe[1], "x", 1);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace mcr;
@@ -125,19 +112,8 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    // Handlers go in BEFORE start(): a supervisor restarting quickly can
-    // deliver SIGTERM during startup, and the default action would skip
-    // stop_and_drain() (dropping in-flight work, orphaning the socket
-    // file). With the pipe armed first, an early signal simply makes the
-    // wait loop below return immediately and the drain path still runs.
-    if (::pipe(g_signal_pipe) != 0) {
-      std::cerr << "mcr_router: cannot create signal pipe\n";
-      return 1;
-    }
-    std::signal(SIGPIPE, SIG_IGN);
-    std::signal(SIGTERM, on_signal);
-    std::signal(SIGINT, on_signal);
-
+    // Before start(): an early SIGTERM must still reach the drain below.
+    cli::install_signal_pipe(/*hangup=*/false);
     svc::Router router(std::move(ro));
     router.start();
     // Read back the (possibly moved-from) config via the router itself.
@@ -154,12 +130,7 @@ int main(int argc, char** argv) {
               << opt.get_int("replicas", 2) << ", attempts "
               << opt.get_int("attempts", 3) << ")" << std::endl;
 
-    for (;;) {
-      char byte = 0;
-      const ssize_t got = ::read(g_signal_pipe[0], &byte, 1);
-      if (got < 0) continue;  // EINTR
-      break;
-    }
+    cli::wait_for_shutdown();
     std::cout << "mcr_router: signal received, draining" << std::endl;
     router.stop_and_drain();
     std::cout << "mcr_router: drained, exiting" << std::endl;

@@ -56,14 +56,11 @@
 // --dataset path (pick up a republished pack without a restart); it is
 // ignored when no dataset is attached. Protocol reference:
 // docs/SERVICE.md.
-#include <csignal>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "cli.h"
 #include "obs/build_info.h"
@@ -72,18 +69,6 @@
 #include "svc/server.h"
 
 namespace {
-
-// Self-pipe: the handler only writes one byte; the main thread blocks
-// on the read end and runs the (non-async-signal-safe) drain.
-int g_signal_pipe[2] = {-1, -1};
-
-void on_signal(int) {
-  [[maybe_unused]] const ssize_t rc = ::write(g_signal_pipe[1], "x", 1);
-}
-
-void on_sighup(int) {
-  [[maybe_unused]] const ssize_t rc = ::write(g_signal_pipe[1], "h", 1);
-}
 
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
@@ -169,6 +154,8 @@ int main(int argc, char** argv) {
       return 2;
     }
 
+    // Before start(): an early SIGTERM must still reach the drain below.
+    cli::install_signal_pipe(/*hangup=*/true);
     svc::Server server(so);
     const std::string dump_path = opt.get("flight-dump", "mcr_flight_dump.json");
     if (dump_path != "none") {
@@ -195,20 +182,7 @@ int main(int argc, char** argv) {
               << so.cache_entries << " entries, batch <= " << so.batch_max << ")"
               << std::endl;
 
-    if (::pipe(g_signal_pipe) != 0) {
-      std::cerr << "mcr_serve: cannot create signal pipe\n";
-      return 1;
-    }
-    std::signal(SIGPIPE, SIG_IGN);
-    std::signal(SIGTERM, on_signal);
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGHUP, on_sighup);
-    for (;;) {
-      char byte = 0;
-      const ssize_t got = ::read(g_signal_pipe[0], &byte, 1);
-      if (got < 0) continue;  // EINTR: retry and pick up the handler's byte
-      if (got == 0) break;
-      if (byte != 'h') break;  // SIGTERM/SIGINT: fall through to drain
+    cli::wait_for_shutdown([&] {
       // SIGHUP: hot-swap to the current dataset path. A bad pack (or no
       // dataset) must not take the daemon down — log and keep serving.
       try {
@@ -218,7 +192,7 @@ int main(int argc, char** argv) {
       } catch (const std::exception& e) {
         std::cerr << "mcr_serve: reload failed: " << e.what() << std::endl;
       }
-    }
+    });
 
     std::cout << "mcr_serve: signal received, draining" << std::endl;
     server.stop_and_drain();
