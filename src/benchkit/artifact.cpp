@@ -8,7 +8,7 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "obs/trace_recorder.h"  // json_escape
+#include "support/json.h"
 #include "support/table.h"
 
 namespace mcr::bench {
@@ -32,7 +32,7 @@ std::string fmt_number(double v) {
 
 void append_string(std::string& out, std::string_view s) {
   out += '"';
-  obs::json_escape(out, s);
+  json::append_escaped(out, s);
   out += '"';
 }
 

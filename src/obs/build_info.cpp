@@ -5,7 +5,7 @@
 #include <thread>
 
 #include "obs/metrics.h"
-#include "obs/trace_recorder.h"  // json_escape
+#include "support/json.h"
 
 #if __has_include("mcr_build_info_gen.h")
 #include "mcr_build_info_gen.h"
@@ -96,7 +96,7 @@ std::string build_info_json() {
     out += '"';
     out += key;
     out += "\":\"";
-    json_escape(out, value);
+    json::append_escaped(out, value);
     out += '"';
   };
   field("git_sha", b.git_sha);

@@ -10,33 +10,10 @@
 #include <sstream>
 #include <utility>
 
+#include "support/json.h"
+#include "support/prng.h"
+
 namespace mcr::obs {
-
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e37'79b9'7f4a'7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58'476d'1ce4'e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d0'49bb'1331'11ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf2'9ce4'8422'2325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x0000'0100'0000'01b3ULL;
-  }
-  return h;
-}
-
-std::string fmt_us(double us) {
-  std::ostringstream os;
-  os << us;
-  return os.str();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // RequestTrace
@@ -215,9 +192,9 @@ void FlightRecorder::write_chrome_trace(std::ostream& os,
       std::string m = "{\"name\":\"process_name\",\"ph\":\"M\"";
       m += pid_tid_prefix;
       m += ",\"tid\":0,\"args\":{\"name\":\"";
-      json_escape(m, t->verb());
+      json::append_escaped(m, t->verb());
       m += ' ';
-      json_escape(m, t->trace_id());
+      json::append_escaped(m, t->trace_id());
       m += "\"}}";
       emit(m);
     }
@@ -225,20 +202,20 @@ void FlightRecorder::write_chrome_trace(std::ostream& os,
       // request_info instant: identity, outcome, notes.
       std::string m = "{\"name\":\"request_info\",\"cat\":\"request\","
                       "\"ph\":\"i\",\"s\":\"p\",\"ts\":";
-      m += fmt_us(t->start_us());
+      m += json::format_number(t->start_us());
       m += pid_tid_prefix;
       m += ",\"tid\":0,\"args\":{\"trace_id\":\"";
-      json_escape(m, t->trace_id());
+      json::append_escaped(m, t->trace_id());
       m += "\",\"verb\":\"";
-      json_escape(m, t->verb());
+      json::append_escaped(m, t->verb());
       if (!t->parent_span().empty()) {
         m += "\",\"parent_span\":\"";
-        json_escape(m, t->parent_span());
+        json::append_escaped(m, t->parent_span());
       }
       m += "\",\"status\":\"";
-      json_escape(m, t->error_code().empty() ? "ok" : t->error_code());
+      json::append_escaped(m, t->error_code().empty() ? "ok" : t->error_code());
       m += "\",\"duration_ms\":";
-      m += fmt_us(t->duration_ms());
+      m += json::format_number(t->duration_ms());
       m += ",\"sampled\":";
       m += t->sampled() ? "true" : "false";
       m += ",\"pinned\":";
@@ -248,9 +225,9 @@ void FlightRecorder::write_chrome_trace(std::ostream& os,
       }
       for (const auto& [key, value] : t->notes()) {
         m += ",\"";
-        json_escape(m, key);
+        json::append_escaped(m, key);
         m += "\":\"";
-        json_escape(m, value);
+        json::append_escaped(m, value);
         m += '"';
       }
       m += "}}";
@@ -264,13 +241,13 @@ void FlightRecorder::write_chrome_trace(std::ostream& os,
       std::string m;
       const auto common = [&](const char* ph, std::string_view name) {
         m += "{\"name\":\"";
-        json_escape(m, name);
+        json::append_escaped(m, name);
         m += "\",\"cat\":\"";
         m += to_string(e.kind);
         m += "\",\"ph\":\"";
         m += ph;
         m += "\",\"ts\":";
-        m += fmt_us(e.micros);
+        m += json::format_number(e.micros);
         m += pid_tid_prefix;
         m += ",\"tid\":" + std::to_string(e.tid);
       };

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/trace_recorder.h"  // json_escape
+#include "support/json.h"
 
 namespace mcr::obs {
 
@@ -15,12 +15,6 @@ namespace {
 std::string_view base_name(std::string_view name) {
   const auto brace = name.find('{');
   return brace == std::string_view::npos ? name : name.substr(0, brace);
-}
-
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
 }
 
 }  // namespace
@@ -239,12 +233,12 @@ void MetricsRegistry::write_prometheus(std::ostream& os) const {
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < s.bounds.size(); ++i) {
       cumulative += s.counts[i];
-      bucket_line(fmt_double(s.bounds[i]), cumulative);
+      bucket_line(json::format_number(s.bounds[i]), cumulative);
     }
     bucket_line("+Inf", s.count);
     const std::string label_suffix =
         labels.empty() ? std::string() : '{' + std::string(labels) + '}';
-    os << base << "_sum" << label_suffix << ' ' << fmt_double(s.sum) << '\n';
+    os << base << "_sum" << label_suffix << ' ' << json::format_number(s.sum) << '\n';
     os << base << "_count" << label_suffix << ' ' << s.count << '\n';
   }
 }
@@ -254,7 +248,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   std::string out;
   const auto key = [&](const std::string& name) {
     out += '"';
-    json_escape(out, name);
+    json::append_escaped(out, name);
     out += "\":";
   };
   out += "{\"counters\":{";
@@ -281,20 +275,20 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     const Histogram::Snapshot s = h->snapshot();
     key(name);
     out += "{\"count\":" + std::to_string(s.count);
-    out += ",\"sum\":" + fmt_double(s.sum);
+    out += ",\"sum\":" + json::format_number(s.sum);
     out += ",\"buckets\":[";
     const auto exemplar = [&](std::size_t i) {
       if (i >= s.exemplars.size() || s.exemplars[i].label.empty()) return;
-      out += ",\"exemplar\":{\"value\":" + fmt_double(s.exemplars[i].value) +
+      out += ",\"exemplar\":{\"value\":" + json::format_number(s.exemplars[i].value) +
              ",\"label\":\"";
-      json_escape(out, s.exemplars[i].label);
+      json::append_escaped(out, s.exemplars[i].label);
       out += "\"}";
     };
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < s.bounds.size(); ++i) {
       cumulative += s.counts[i];
       if (i != 0) out += ',';
-      out += "{\"le\":" + fmt_double(s.bounds[i]) +
+      out += "{\"le\":" + json::format_number(s.bounds[i]) +
              ",\"count\":" + std::to_string(cumulative);
       exemplar(i);
       out += '}';
@@ -312,15 +306,15 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     const SlidingWindowHistogram::Snapshot s = h->snapshot();
     key(name);
     out += "{\"count\":" + std::to_string(s.count);
-    out += ",\"sum\":" + fmt_double(s.sum);
-    out += ",\"window_seconds\":" + fmt_double(s.window_seconds);
-    out += ",\"covered_seconds\":" + fmt_double(s.covered_seconds);
+    out += ",\"sum\":" + json::format_number(s.sum);
+    out += ",\"window_seconds\":" + json::format_number(s.window_seconds);
+    out += ",\"covered_seconds\":" + json::format_number(s.covered_seconds);
     out += ",\"buckets\":[";
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < s.bounds.size(); ++i) {
       cumulative += s.counts[i];
       if (i != 0) out += ',';
-      out += "{\"le\":" + fmt_double(s.bounds[i]) +
+      out += "{\"le\":" + json::format_number(s.bounds[i]) +
              ",\"count\":" + std::to_string(cumulative);
       out += '}';
     }

@@ -4,38 +4,9 @@
 #include <sstream>
 #include <utility>
 
-namespace mcr::obs {
+#include "support/json.h"
 
-void json_escape(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-}
+namespace mcr::obs {
 
 std::uint32_t TraceRecorder::thread_index_locked() {
   const auto id = std::this_thread::get_id();
@@ -86,21 +57,18 @@ void TraceRecorder::write_chrome_trace(std::ostream& os) const {
   // Per-thread stacks of open span names so "E" events can repeat the
   // name (Perfetto matches on it when present).
   std::map<std::uint32_t, std::vector<std::string>> open;
-  std::ostringstream num;
   const auto common = [&](const Event& e, const char* ph,
                           std::string_view name) {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
-    json_escape(out, name);
+    json::append_escaped(out, name);
     out += "\",\"cat\":\"";
     out += to_string(e.kind);
     out += "\",\"ph\":\"";
     out += ph;
     out += "\",\"ts\":";
-    num.str(std::string());
-    num << e.micros;
-    out += num.str();
+    out += json::format_number(e.micros);
     out += ",\"pid\":1,\"tid\":";
     out += std::to_string(e.tid);
   };

@@ -74,10 +74,6 @@ class TraceRecorder final : public TraceSink {
   std::chrono::steady_clock::time_point t0_ = std::chrono::steady_clock::now();
 };
 
-/// Appends `s` to `out` with JSON string escaping (no surrounding
-/// quotes). Exposed for the metrics JSON exporter and tests.
-void json_escape(std::string& out, std::string_view s);
-
 }  // namespace mcr::obs
 
 #endif  // MCR_OBS_TRACE_RECORDER_H

@@ -1,6 +1,7 @@
 #include "support/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -281,6 +282,42 @@ Value parse_file(const std::string& path) {
   } catch (const std::runtime_error& e) {
     throw std::runtime_error(path + ": " + e.what());
   }
+}
+
+void append_escaped(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xf];
+          out += kHex[static_cast<unsigned char>(c) & 0xf];
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
+  return out;
+}
+
+std::string format_number(double v) {
+  // to_chars in general format at precision 6 is printf "%g" — the
+  // bytes `std::ostream << double` writes — without a stream or locale.
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 6);
+  return std::string(buf, r.ptr);
 }
 
 }  // namespace mcr::json

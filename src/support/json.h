@@ -1,8 +1,9 @@
-// Minimal JSON document parser for the bench artifact pipeline.
+// Minimal JSON support without external dependencies: a small
+// recursive-descent parser producing an immutable DOM, plus the text
+// layer every JSON writer in the repo shares — one string escaper and
+// one number formatter.
 //
-// mcr_bench_diff must read BENCH_*.json without external dependencies,
-// so this is a small recursive-descent parser producing an immutable
-// DOM. Numbers are stored as double — exact for the magnitudes our
+// Numbers are stored as double — exact for the magnitudes our
 // artifacts carry (timings, counter medians < 2^53); this is a reader
 // for our own writers, not a general-purpose library. Parse errors
 // throw std::runtime_error naming the byte offset.
@@ -67,6 +68,17 @@ class Value {
 
 /// Parses the file's entire contents; errors name the path.
 [[nodiscard]] Value parse_file(const std::string& path);
+
+/// Appends `s` escaped for the inside of a JSON string literal (no
+/// surrounding quotes): quote, backslash, \n \r \t by name, and every
+/// other control character as \u00XX.
+void append_escaped(std::string& out, std::string_view s);
+/// append_escaped into a fresh string.
+[[nodiscard]] std::string escape(std::string_view s);
+
+/// The text of a double in JSON (and Prometheus) output: printf "%g",
+/// six significant digits; "inf"/"nan" pass through unquoted.
+[[nodiscard]] std::string format_number(double v);
 
 }  // namespace mcr::json
 

@@ -14,6 +14,8 @@
 #include <thread>
 #include <utility>
 
+#include "support/prng.h"
+
 namespace mcr::svc {
 
 namespace {
@@ -70,71 +72,91 @@ int open_tcp(const std::string& host, int port) {
   throw_errno("connect(" + host + ":" + std::to_string(port) + ")");
 }
 
-/// splitmix64 step — enough PRNG for backoff jitter, with no global
-/// state so two clients never perturb each other's schedules.
-std::uint64_t next_u64(std::uint64_t& s) {
-  s += 0x9e37'79b9'7f4a'7c15ULL;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xbf58'476d'1ce4'e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d0'49bb'1331'11ebULL;
-  return z ^ (z >> 31);
-}
-
-double uniform(std::uint64_t& s, double lo, double hi) {
-  const double u = static_cast<double>(next_u64(s) >> 11) * 0x1.0p-53;
-  return lo + u * (hi - lo);
-}
-
 bool has_trace_id(std::string_view payload) {
   return payload.find("\"trace_id\"") != std::string_view::npos;
 }
 
-/// Splices trace-context fields before the payload object's closing
-/// brace; parent_span may be empty (omitted).
-std::string with_trace_context(std::string_view payload,
-                               std::string_view trace_id,
-                               std::string_view parent_span) {
-  const auto brace = payload.rfind('}');
-  if (brace == std::string_view::npos || trace_id.empty()) {
-    return std::string(payload);
+/// An ok-framed but unparseable response is a transport-class failure:
+/// the stream can no longer be trusted.
+json::Value parse_response(const std::string& raw) {
+  try {
+    return json::parse(raw);
+  } catch (const std::exception& e) {
+    throw TransportError(std::string("Client: bad response JSON: ") + e.what());
   }
-  std::string out(payload.substr(0, brace));
-  const auto last = out.find_last_not_of(" \t\r\n");
-  if (last != std::string::npos && out[last] != '{') out += ',';
-  out += "\"trace_id\":\"";
-  out += json_escape(trace_id);
-  out += '"';
-  if (!parent_span.empty()) {
-    out += ",\"parent_span\":\"";
-    out += json_escape(parent_span);
-    out += '"';
-  }
-  out.append(payload.substr(brace));
-  return out;
 }
 
 }  // namespace
 
+BackendAddress parse_backend_address(const std::string& spec, bool allow_port_zero) {
+  if (spec.empty()) throw std::invalid_argument("empty worker spec");
+  BackendAddress out;
+  if (spec.rfind("unix:", 0) == 0) {
+    out.kind = BackendAddress::Kind::kUnix;
+    out.path = spec.substr(5);
+    if (out.path.empty()) {
+      throw std::invalid_argument("worker spec '" + spec + "': empty socket path");
+    }
+    out.name = "unix:" + out.path;
+    return out;
+  }
+  out.kind = BackendAddress::Kind::kTcp;
+  const auto colon = spec.rfind(':');
+  std::string port_text;
+  if (colon == std::string::npos) {
+    out.host = "127.0.0.1";
+    port_text = spec;
+  } else {
+    out.host = spec.substr(0, colon);
+    port_text = spec.substr(colon + 1);
+    if (out.host.empty()) {
+      throw std::invalid_argument("worker spec '" + spec + "': empty host");
+    }
+  }
+  std::size_t pos = 0;
+  int port = 0;
+  try {
+    port = std::stoi(port_text, &pos);
+  } catch (const std::exception&) {
+    pos = std::string::npos;
+  }
+  if (pos != port_text.size() || port < (allow_port_zero ? 0 : 1) || port > 65535) {
+    throw std::invalid_argument("worker spec '" + spec +
+                                "': expected unix:PATH, HOST:PORT, or PORT");
+  }
+  out.port = port;
+  out.name = out.host + ":" + std::to_string(port);
+  return out;
+}
+
+Client Client::connect(const BackendAddress& address) {
+  const int fd = address.kind == BackendAddress::Kind::kUnix
+                     ? open_unix(address.path)
+                     : open_tcp(address.host, address.port);
+  return Client(fd, address);
+}
+
 Client Client::connect_unix(const std::string& socket_path) {
-  Client c(open_unix(socket_path));
-  c.endpoint_.kind = Endpoint::Kind::kUnix;
-  c.endpoint_.path = socket_path;
-  return c;
+  BackendAddress address;
+  address.path = socket_path;
+  address.name = "unix:" + socket_path;
+  return connect(address);
 }
 
 Client Client::connect_tcp(int port) { return connect_tcp("127.0.0.1", port); }
 
 Client Client::connect_tcp(const std::string& host, int port) {
-  Client c(open_tcp(host, port));
-  c.endpoint_.kind = Endpoint::Kind::kTcp;
-  c.endpoint_.host = host;
-  c.endpoint_.port = port;
-  return c;
+  BackendAddress address;
+  address.kind = BackendAddress::Kind::kTcp;
+  address.host = host;
+  address.port = port;
+  address.name = host + ":" + std::to_string(port);
+  return connect(address);
 }
 
 Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
-      endpoint_(std::exchange(other.endpoint_, Endpoint{})),
+      address_(std::move(other.address_)),
       policy_(other.policy_),
       jitter_state_(other.jitter_state_),
       trace_id_(std::move(other.trace_id_)) {}
@@ -143,7 +165,7 @@ Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = std::exchange(other.fd_, -1);
-    endpoint_ = std::exchange(other.endpoint_, Endpoint{});
+    address_ = std::move(other.address_);
     policy_ = other.policy_;
     jitter_state_ = other.jitter_state_;
     trace_id_ = std::move(other.trace_id_);
@@ -156,22 +178,8 @@ Client::~Client() {
 }
 
 void Client::reconnect() {
-  switch (endpoint_.kind) {
-    case Endpoint::Kind::kUnix: {
-      const int fd = open_unix(endpoint_.path);  // throws on failure
-      if (fd_ >= 0) ::close(fd_);
-      fd_ = fd;
-      return;
-    }
-    case Endpoint::Kind::kTcp: {
-      const int fd = open_tcp(endpoint_.host, endpoint_.port);
-      if (fd_ >= 0) ::close(fd_);
-      fd_ = fd;
-      return;
-    }
-    case Endpoint::Kind::kNone:
-      throw TransportError("Client: cannot reconnect (endpoint unknown)");
-  }
+  Client fresh = connect(address_);  // throws on failure
+  std::swap(fd_, fresh.fd_);         // `fresh` closes the old connection
 }
 
 void Client::set_retry_policy(const RetryPolicy& policy) {
@@ -180,7 +188,7 @@ void Client::set_retry_policy(const RetryPolicy& policy) {
 }
 
 void Client::send_bytes(std::string_view bytes) {
-  if (!write_all(fd_, bytes)) throw_errno("Client: write failed");
+  if (!write_full(fd_, bytes)) throw_errno("Client: write failed");
 }
 
 std::string Client::read_payload(std::size_t max_frame_bytes) {
@@ -191,16 +199,16 @@ std::string Client::read_payload(std::size_t max_frame_bytes) {
     case ReadStatus::kClosed:
       throw TransportError("Client: server closed the connection");
     case ReadStatus::kBadMagic:
-      throw TransportError("Client: bad response magic");
+      throw TransportError("Client: bad response magic", /*partial_response=*/true);
     case ReadStatus::kTooLarge:
-      throw TransportError("Client: response frame too large");
+      throw TransportError("Client: response frame too large", /*partial_response=*/true);
     case ReadStatus::kTruncated:
-      throw TransportError("Client: truncated response");
+      throw TransportError("Client: truncated response", /*partial_response=*/true);
   }
-  throw TransportError("Client: unreachable");
+  throw TransportError("Client: unreachable", /*partial_response=*/true);
 }
 
-std::string Client::request_raw(std::string_view payload) {
+std::string Client::request_raw(std::string_view payload, std::size_t max_frame_bytes) {
   // The sticky trace id rides on every outgoing object-shaped payload
   // that doesn't already carry one — raw callers (mcr_query's solve
   // path, byte-identity tests) get the same propagation as request().
@@ -208,26 +216,22 @@ std::string Client::request_raw(std::string_view payload) {
   std::string augmented;
   if (!trace_id_.empty() && !has_trace_id(payload) && !payload.empty() &&
       payload.back() == '}') {
-    augmented = with_trace_context(payload, trace_id_, {});
+    augmented = with_trace_id(payload, trace_id_);
     payload = augmented;
   }
   send_bytes(encode_frame(payload));
-  return read_payload();
+  return read_payload(max_frame_bytes);
 }
 
 json::Value Client::request(std::string_view payload) {
-  try {
-    return json::parse(request_raw(payload));
-  } catch (const TransportError&) {
-    throw;
-  } catch (const std::exception& e) {
-    // An ok-framed but unparseable response is a transport-class
-    // failure: the stream can no longer be trusted.
-    throw TransportError(std::string("Client: bad response JSON: ") + e.what());
-  }
+  return parse_response(request_raw(payload));
 }
 
 json::Value Client::request_retry(std::string_view payload) {
+  return parse_response(request_retry_raw(payload));
+}
+
+std::string Client::request_retry_raw(std::string_view payload) {
   if (jitter_state_ == 0) jitter_state_ = policy_.jitter_seed;
   const auto start = std::chrono::steady_clock::now();
   const auto elapsed_ms = [&] {
@@ -247,11 +251,14 @@ json::Value Client::request_retry(std::string_view payload) {
     bool transport_failed = false;
     try {
       const std::string attempt_payload =
-          caller_traced ? std::string(payload)
-                        : with_trace_context(payload, flight_id,
-                                             "attempt/" + std::to_string(attempt));
-      const json::Value r = request(attempt_payload);
-      if (r.string_or("status", "") != "error") return r;
+          caller_traced
+              ? std::string(payload)
+              : with_trace_id(splice_field_front(payload, "parent_span",
+                                                 "attempt/" + std::to_string(attempt)),
+                              flight_id);
+      std::string raw = request_raw(attempt_payload);
+      const json::Value r = parse_response(raw);
+      if (r.string_or("status", "") != "error") return raw;
       ServiceError err(r.string_or("code", kErrInternal), r.string_or("message", ""));
       if (!err.retryable() || attempt >= policy_.max_attempts) throw err;
     } catch (const TransportError&) {

@@ -6,13 +6,16 @@
 // responses come back parsed. Not thread-safe; use one Client per
 // thread (connections are cheap, the server handles many).
 //
+// Every client-side MCR1 conversation goes through this class: the
+// tools, and mcr_router's upstream connections to its workers, all dial
+// a BackendAddress with connect() and exchange frames with request_raw().
+//
 // Resilience: request()/request_raw() are single-shot and throw
 // TransportError when the conversation breaks. request_retry() layers a
 // RetryPolicy on top — reconnect on transport failure, capped
-// exponential backoff with decorrelated jitter on retryable service
-// errors (BUSY / DEADLINE_EXCEEDED / SHUTTING_DOWN), all under one
-// overall wall-clock budget. Retrying is safe because SOLVE is
-// idempotent: results are cached and single-flighted by fingerprint.
+// exponential backoff with decorrelated jitter on the errors errors.h
+// calls retryable, all under one overall wall-clock budget
+// (docs/ROBUSTNESS.md, "Who resends what").
 #ifndef MCR_SVC_CLIENT_H
 #define MCR_SVC_CLIENT_H
 
@@ -26,6 +29,24 @@
 #include "svc/protocol.h"
 
 namespace mcr::svc {
+
+/// One service endpoint. Specs are "unix:/path/to.sock", "host:port",
+/// or a bare port (loopback). `name` is the canonical label used in
+/// metrics and STATS ("unix:/path" or "host:port").
+struct BackendAddress {
+  enum class Kind { kUnix, kTcp };
+  Kind kind = Kind::kUnix;
+  std::string path;  // unix
+  std::string host;  // tcp
+  int port = 0;      // tcp
+  std::string name;
+};
+
+/// Parses a --worker/--target/--listen spec; throws
+/// std::invalid_argument on malformed input (empty, bad port, ...).
+/// `allow_port_zero` admits port 0 for listener specs (ephemeral).
+[[nodiscard]] BackendAddress parse_backend_address(const std::string& spec,
+                                                   bool allow_port_zero = false);
 
 /// Retry schedule for request_retry(). Backoff for attempt k is drawn
 /// uniformly from [initial_backoff_ms, 3 * previous_sleep] (decorrelated
@@ -46,6 +67,8 @@ struct RetryPolicy {
 
 class Client {
  public:
+  /// Dials `address`; throws TransportError when the connect fails.
+  [[nodiscard]] static Client connect(const BackendAddress& address);
   [[nodiscard]] static Client connect_unix(const std::string& socket_path);
   /// Loopback TCP shorthand for connect_tcp("127.0.0.1", port).
   [[nodiscard]] static Client connect_tcp(int port);
@@ -64,8 +87,10 @@ class Client {
   /// transport failure or unparseable response. Server-side errors are
   /// returned as parsed payloads, not thrown.
   [[nodiscard]] json::Value request(std::string_view payload);
-  /// Same, returning the raw response payload text.
-  [[nodiscard]] std::string request_raw(std::string_view payload);
+  /// Same, returning the raw response payload text; a response frame
+  /// larger than `max_frame_bytes` is a TransportError.
+  [[nodiscard]] std::string request_raw(std::string_view payload,
+                                        std::size_t max_frame_bytes = kDefaultMaxFrameBytes);
 
   void set_retry_policy(const RetryPolicy& policy);
   [[nodiscard]] const RetryPolicy& retry_policy() const { return policy_; }
@@ -91,6 +116,9 @@ class Client {
   /// "parent_span":"attempt/<k>" — the server then retains each attempt
   /// as a child trace of the same logical flight.
   [[nodiscard]] json::Value request_retry(std::string_view payload);
+  /// request_retry returning the raw payload of the one attempt that
+  /// succeeded, for callers that print its exact bytes.
+  [[nodiscard]] std::string request_retry_raw(std::string_view payload);
 
   /// Convenience verbs.
   [[nodiscard]] bool ping();
@@ -121,32 +149,24 @@ class Client {
 
   /// Raw transport access for protocol-robustness tests.
   void send_bytes(std::string_view bytes);
-  /// Reads one response frame; throws on close/framing error.
+  /// Reads one response frame; throws TransportError on close or a
+  /// framing error, with partial_response() set when any byte arrived.
   [[nodiscard]] std::string read_payload(std::size_t max_frame_bytes = kDefaultMaxFrameBytes);
   [[nodiscard]] int fd() const { return fd_; }
 
   /// Drops and re-establishes the connection to the original endpoint.
-  /// Throws TransportError when the endpoint is unknown (moved-from
-  /// client) or the connect fails.
+  /// Throws TransportError when the connect fails.
   void reconnect();
 
  private:
-  struct Endpoint {
-    enum class Kind { kNone, kUnix, kTcp };
-    Kind kind = Kind::kNone;
-    std::string path;               // unix
-    std::string host = "127.0.0.1"; // tcp
-    int port = 0;                   // tcp
-  };
-
-  explicit Client(int fd) : fd_(fd) {}
+  Client(int fd, BackendAddress address) : fd_(fd), address_(std::move(address)) {}
   [[nodiscard]] std::string solve_payload(const std::string& fingerprint,
                                           const std::string& objective,
                                           const std::string& algo,
                                           double deadline_ms) const;
 
   int fd_ = -1;
-  Endpoint endpoint_;
+  BackendAddress address_;
   RetryPolicy policy_;
   std::uint64_t jitter_state_ = 0;  // lazily seeded from policy_
   std::string trace_id_;            // sticky; empty = per-call/server minted

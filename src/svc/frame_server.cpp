@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -46,17 +45,11 @@ const std::vector<double>& request_seconds_bounds() {
   return bounds;
 }
 
-std::string fmt_json_double(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
 std::string window_quantile_ms_json(const obs::SlidingWindowHistogram::Snapshot& s,
                                     double q) {
   const auto v = obs::histogram_quantile(
       s.bounds, obs::SlidingWindowHistogram::cumulative_counts(s), s.count, q);
-  return v.has_value() ? fmt_json_double(*v * 1000.0) : "null";
+  return v.has_value() ? json::format_number(*v * 1000.0) : "null";
 }
 
 FrameServer::FrameServer(FrameServerConfig config, obs::MetricsRegistry& metrics,
@@ -262,7 +255,7 @@ void FrameServer::serve_connection(Connection& conn) {
               ? error_payload(kErrFrameTooLarge,
                               "frame exceeds the " + config_.role + "'s size limit")
               : error_payload(kErrBadFrame, "bad frame magic (expected MCR1)");
-      (void)write_all(conn.fd, encode_frame(response));
+      (void)write_full(conn.fd, encode_frame(response));
       break;
     }
     // Per-connection error isolation: nothing a single request does —
@@ -277,7 +270,7 @@ void FrameServer::serve_connection(Connection& conn) {
       metrics_.counter("mcr_connection_errors_total").add(1);
       response = error_payload(kErrInternal, config_.internal_error_message);
     }
-    if (!write_all(conn.fd, encode_frame(response))) break;
+    if (!write_full(conn.fd, encode_frame(response))) break;
   }
   // The fd is deliberately left open: the reaper (or drain) closes it
   // after joining this thread, so the idle reaper can never shut down a

@@ -35,9 +35,6 @@ namespace mcr::svc {
 /// coarse default grid.
 [[nodiscard]] const std::vector<double>& request_seconds_bounds();
 
-/// A double as every svc payload prints it (ostream default precision).
-[[nodiscard]] std::string fmt_json_double(double v);
-
 /// `q`-th percentile of a windowed snapshot in milliseconds, or "null"
 /// when the window holds no observations (never NaN on the wire).
 [[nodiscard]] std::string window_quantile_ms_json(

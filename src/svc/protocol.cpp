@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "fault/fault.h"
+#include "support/prng.h"
 
 namespace mcr::svc {
 
@@ -98,30 +99,6 @@ ReadStatus read_frame(int fd, std::size_t max_frame_bytes, std::string& payload)
   return ReadStatus::kOk;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xf];
-          out += kHex[static_cast<unsigned char>(c) & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string generate_trace_id() {
   // splitmix64 over (seed, counter): ids are unique per process and
   // collide across processes only by 128-bit accident.
@@ -132,14 +109,8 @@ std::string generate_trace_id() {
   }();
   static std::atomic<std::uint64_t> counter{0};
   const std::uint64_t n = counter.fetch_add(1, std::memory_order_relaxed);
-  const auto mix = [](std::uint64_t x) {
-    x += 0x9e37'79b9'7f4a'7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58'476d'1ce4'e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d0'49bb'1331'11ebULL;
-    return x ^ (x >> 31);
-  };
-  const std::uint64_t hi = mix(seed ^ n);
-  const std::uint64_t lo = mix(hi ^ ~n);
+  const std::uint64_t hi = splitmix64(seed ^ n);
+  const std::uint64_t lo = splitmix64(hi ^ ~n);
   std::string id(32, '0');
   static constexpr char kHex[] = "0123456789abcdef";
   for (int i = 0; i < 16; ++i) {

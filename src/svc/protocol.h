@@ -26,6 +26,8 @@
 #include <string>
 #include <string_view>
 
+#include "support/json.h"
+
 namespace mcr::svc {
 
 /// The protocol's verbs. Request metrics label any other verb — missing
@@ -89,14 +91,9 @@ enum class ReadStatus {
 [[nodiscard]] ReadStatus read_frame(int fd, std::size_t max_frame_bytes,
                                     std::string& payload);
 
-/// Alias of write_full, kept for existing callers.
-[[nodiscard]] inline bool write_all(int fd, std::string_view bytes) {
-  return write_full(fd, bytes);
-}
-
-/// Escapes a string for embedding inside a JSON string literal
-/// (backslash, quote, and control characters; no surrounding quotes).
-[[nodiscard]] std::string json_escape(std::string_view s);
+/// json::escape under the name the svc code uses: a string's bytes
+/// escaped for the inside of a JSON string literal.
+[[nodiscard]] inline std::string json_escape(std::string_view s) { return json::escape(s); }
 
 /// `{"status":"error","code":"<code>","message":"<escaped message>"}`.
 [[nodiscard]] std::string error_payload(std::string_view code, std::string_view message);

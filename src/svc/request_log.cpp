@@ -9,7 +9,7 @@ RequestLog::RequestLog(const std::string& path)
     : out_(path, std::ios::out | std::ios::app) {}
 
 std::string RequestLog::format(const Entry& entry) {
-  std::string out = "{\"ts_ms\":" + fmt_json_double(entry.ts_ms);
+  std::string out = "{\"ts_ms\":" + json::format_number(entry.ts_ms);
   const auto str_field = [&](const char* key, const std::string& value) {
     if (value.empty()) return;
     out += ",\"";
@@ -23,7 +23,7 @@ std::string RequestLog::format(const Entry& entry) {
     out += ",\"";
     out += key;
     out += "\":";
-    out += fmt_json_double(value);
+    out += json::format_number(value);
   };
   str_field("trace_id", entry.trace_id);
   str_field("verb", entry.verb);

@@ -9,35 +9,16 @@
 #include "graph/io.h"
 #include "obs/build_info.h"
 #include "support/json.h"
+#include "support/prng.h"
 
 namespace mcr::svc {
 
 namespace {
 
-/// splitmix64 — the repo's standard cheap mixer.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e37'79b9'7f4a'7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58'476d'1ce4'e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d0'49bb'1331'11ebULL;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t hash_bytes(std::string_view s) {
   // FNV-1a accumulate, splitmix finalize: stable across platforms (the
   // ring layout is part of the fleet's observable behavior).
-  std::uint64_t h = 0xcbf2'9ce4'8422'2325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x0000'0100'0000'01b3ULL;
-  }
-  return splitmix64(h);
-}
-
-double uniform(std::uint64_t& state, double lo, double hi) {
-  state += 0x9e37'79b9'7f4a'7c15ULL;
-  const std::uint64_t z = splitmix64(state);
-  const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
-  return lo + u * (hi - lo);
+  return splitmix64(fnv1a(s));
 }
 
 /// Canonical text for one scalar JSON value inside a routing key.
@@ -52,7 +33,7 @@ void append_canonical(std::string& out, const json::Value& v) {
     if (static_cast<double>(ll) == d) {
       out += std::to_string(ll);
     } else {
-      out += fmt_json_double(d);
+      out += json::format_number(d);
     }
   } else if (v.is_bool()) {
     out += v.as_bool() ? "true" : "false";
@@ -97,49 +78,6 @@ bool looks_like_error(std::string_view response) {
 }
 
 }  // namespace
-
-// --- BackendAddress ------------------------------------------------------
-
-BackendAddress parse_backend_address(const std::string& spec, bool allow_port_zero) {
-  if (spec.empty()) throw std::invalid_argument("empty worker spec");
-  BackendAddress out;
-  if (spec.rfind("unix:", 0) == 0) {
-    out.kind = BackendAddress::Kind::kUnix;
-    out.path = spec.substr(5);
-    if (out.path.empty()) {
-      throw std::invalid_argument("worker spec '" + spec + "': empty socket path");
-    }
-    out.name = "unix:" + out.path;
-    return out;
-  }
-  out.kind = BackendAddress::Kind::kTcp;
-  const auto colon = spec.rfind(':');
-  std::string port_text;
-  if (colon == std::string::npos) {
-    out.host = "127.0.0.1";
-    port_text = spec;
-  } else {
-    out.host = spec.substr(0, colon);
-    port_text = spec.substr(colon + 1);
-    if (out.host.empty()) {
-      throw std::invalid_argument("worker spec '" + spec + "': empty host");
-    }
-  }
-  std::size_t pos = 0;
-  int port = 0;
-  try {
-    port = std::stoi(port_text, &pos);
-  } catch (const std::exception&) {
-    pos = std::string::npos;
-  }
-  if (pos != port_text.size() || port < (allow_port_zero ? 0 : 1) || port > 65535) {
-    throw std::invalid_argument("worker spec '" + spec +
-                                "': expected unix:PATH, HOST:PORT, or PORT");
-  }
-  out.port = port;
-  out.name = out.host + ":" + std::to_string(port);
-  return out;
-}
 
 // --- CircuitBreaker ------------------------------------------------------
 
@@ -444,10 +382,7 @@ std::unique_ptr<Client> Router::pop_idle_connection(Backend& b) {
 
 std::unique_ptr<Client> Router::dial_connection(Backend& b) {
   try {
-    if (b.address.kind == BackendAddress::Kind::kUnix) {
-      return std::make_unique<Client>(Client::connect_unix(b.address.path));
-    }
-    return std::make_unique<Client>(Client::connect_tcp(b.address.host, b.address.port));
+    return std::make_unique<Client>(Client::connect(b.address));
   } catch (const TransportError&) {
     return nullptr;
   }
@@ -460,32 +395,17 @@ void Router::release_connection(Backend& b, std::unique_ptr<Client> client) {
 
 Router::Forward Router::roundtrip(Backend& b, std::unique_ptr<Client> client,
                                   std::string_view payload) {
-  Forward out;
-  if (!write_full(client->fd(), encode_frame(payload))) {
-    out.status = Forward::Status::kNoBytes;  // no response byte arrived
+  try {
+    Forward out{Forward::Status::kOk, client->request_raw(payload, options_.max_frame_bytes)};
+    release_connection(b, std::move(client));
     return out;
+  } catch (const TransportError& e) {
+    // No response byte: the worker died (or closed) without answering —
+    // safe to hedge an idempotent verb. Bytes then a broken stream: the
+    // worker may have executed the request — NEVER hedged.
+    return {e.partial_response() ? Forward::Status::kPartial : Forward::Status::kNoBytes,
+            {}};
   }
-  const ReadStatus st = read_frame(client->fd(), options_.max_frame_bytes, out.response);
-  switch (st) {
-    case ReadStatus::kOk:
-      out.status = Forward::Status::kOk;
-      release_connection(b, std::move(client));
-      return out;
-    case ReadStatus::kClosed:
-      // Clean EOF before any response byte: the worker died (or closed)
-      // without answering — safe to hedge an idempotent verb.
-      out.status = Forward::Status::kNoBytes;
-      return out;
-    case ReadStatus::kBadMagic:
-    case ReadStatus::kTooLarge:
-    case ReadStatus::kTruncated:
-      // Bytes arrived, then the stream broke: the worker may have
-      // executed the request. NEVER hedged.
-      out.status = Forward::Status::kPartial;
-      return out;
-  }
-  out.status = Forward::Status::kPartial;
-  return out;
 }
 
 Router::Forward Router::forward_once(Backend& b, std::string_view payload) {
@@ -561,7 +481,7 @@ std::string Router::forward_with_failover(
   const bool client_has_parent = request.has("parent_span");
 
   int attempts = 0;
-  std::string retryable_response;  // last BUSY/SHUTTING_DOWN answer seen
+  std::string retryable_response;  // last answer that allowed a failover
   for (const std::size_t idx : order) {
     if (attempts >= options_.max_attempts) break;
     if (std::chrono::steady_clock::now() >= deadline) {
@@ -589,35 +509,22 @@ std::string Router::forward_with_failover(
       b.latency_window->observe(
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count());
-      if (!looks_like_error(fwd.response)) {
-        record_success(b);
-        return fwd.response;
-      }
-      // The backend answered, so its transport is healthy; what kind of
-      // error decides whether we fail over.
+      // The backend answered, so its transport is healthy: a breaker
+      // success whatever the status. The error code decides failover.
+      record_success(b);
+      if (!looks_like_error(fwd.response)) return fwd.response;
       std::string code;
       try {
         code = json::parse(fwd.response).string_or("code", "");
       } catch (const std::exception&) {
         code.clear();
       }
-      if (code == kErrShuttingDown) {
-        // Passive drain detection: stop routing new work there; the
-        // prober flips it back when the worker returns.
-        record_success(b);
-        set_draining(b, true);
-        retryable_response = fwd.response;
-        continue;
-      }
-      if (code == kErrBusy) {
-        record_success(b);
-        retryable_response = fwd.response;
-        continue;
-      }
-      // Deterministic errors (BAD_REQUEST, NOT_FOUND, DEADLINE_EXCEEDED,
-      // INTERNAL): another replica would answer the same or worse.
-      record_success(b);
-      return fwd.response;
+      // Passive drain detection: stop routing new work there; the
+      // prober flips it back when the worker returns.
+      if (code == kErrShuttingDown) set_draining(b, true);
+      if (!ServiceError::may_fail_over(code)) return fwd.response;
+      retryable_response = fwd.response;
+      continue;
     }
     if (fwd.status == Forward::Status::kPartial) {
       record_failure(b);
@@ -727,9 +634,9 @@ std::string Router::handle_reload_fanout(const std::string& payload) {
 std::string Router::handle_stats(const json::Value& request) {
   std::ostringstream os;
   os << "{\"status\":\"ok\",\"service\":\"mcr_router\",\"uptime_seconds\":"
-     << fmt_json_double(frame_.uptime_seconds()) << ",\"replicas\":"
+     << json::format_number(frame_.uptime_seconds()) << ",\"replicas\":"
      << std::min(options_.replicas, backends_.size())
-     << ",\"window_seconds\":" << fmt_json_double(options_.stats_window_s)
+     << ",\"window_seconds\":" << json::format_number(options_.stats_window_s)
      << ",\"backends\":[";
   for (std::size_t i = 0; i < backends_.size(); ++i) {
     Backend& b = *backends_[i];
@@ -807,7 +714,7 @@ std::string Router::handle_health() {
      << (running_.load() ? "false" : "true") << ",\"backends_total\":"
      << backends_.size() << ",\"backends_up\":" << up
      << ",\"backends_draining\":" << draining
-     << ",\"uptime_seconds\":" << fmt_json_double(frame_.uptime_seconds()) << "}";
+     << ",\"uptime_seconds\":" << json::format_number(frame_.uptime_seconds()) << "}";
   return os.str();
 }
 

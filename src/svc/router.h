@@ -31,11 +31,15 @@
 //    interval, closing breakers when a worker comes back and marking
 //    draining workers (they finish in-flight requests, get no new
 //    ones);
-//  - failover: idempotent verbs retry on the next replica on BUSY /
-//    SHUTTING_DOWN / clean transport errors, within a retry budget
-//    carved from the request deadline. A response cut off after
-//    partial bytes is NEVER hedged (the worker may have acted); the
-//    client gets UPSTREAM_UNAVAILABLE (retryable) and decides.
+//  - failover: idempotent verbs retry on the next replica when the
+//    worker's answer passes ServiceError::may_fail_over (errors.h) or
+//    nothing came back, within a retry budget carved from the request
+//    deadline. A response cut off after partial bytes is NEVER hedged
+//    (the worker may have acted); the client gets UPSTREAM_UNAVAILABLE
+//    and decides. The rules are tabulated in docs/ROBUSTNESS.md.
+//
+// Upstream connections are svc::Clients: dialed with Client::connect,
+// one request_raw per attempt, pooled per backend.
 //
 // Listeners, client connections and the request latency metrics
 // belong to the svc::FrameServer underneath (frame_server.h), the same
@@ -70,24 +74,6 @@ class Value;
 }  // namespace mcr::json
 
 namespace mcr::svc {
-
-/// One worker endpoint. Specs are "unix:/path/to.sock", "host:port",
-/// or a bare port (loopback). `name` is the canonical label used in
-/// metrics and STATS ("unix:/path" or "host:port").
-struct BackendAddress {
-  enum class Kind { kUnix, kTcp };
-  Kind kind = Kind::kUnix;
-  std::string path;  // unix
-  std::string host;  // tcp
-  int port = 0;      // tcp
-  std::string name;
-};
-
-/// Parses a --worker/--target/--listen spec; throws
-/// std::invalid_argument on malformed input (empty, bad port, ...).
-/// `allow_port_zero` admits port 0 for listener specs (ephemeral).
-[[nodiscard]] BackendAddress parse_backend_address(const std::string& spec,
-                                                   bool allow_port_zero = false);
 
 /// Per-backend circuit breaker: pure, clock-passed state machine so
 /// tests drive it deterministically. Not thread-safe — the Router
@@ -255,8 +241,9 @@ class Router {
   /// failure is reported (a worker restart must not trip the breaker
   /// through leftover pool entries).
   [[nodiscard]] Forward forward_once(Backend& b, std::string_view payload);
-  /// One request/response exchange on an established connection; the
-  /// connection is pooled again on success, dropped otherwise.
+  /// One Client exchange on an established connection, its response
+  /// capped at max_frame_bytes; the connection is pooled again on
+  /// success, dropped otherwise.
   [[nodiscard]] Forward roundtrip(Backend& b, std::unique_ptr<Client> client,
                                   std::string_view payload);
   /// Pops an idle pooled connection; null when the pool is empty.

@@ -439,7 +439,7 @@ std::string Server::handle_solvers() const {
 
 std::string Server::handle_stats(const json::Value& req) const {
   std::string out = "{\"status\":\"ok\",\"uptime_seconds\":";
-  out += fmt_json_double(frame_.uptime_seconds());
+  out += json::format_number(frame_.uptime_seconds());
   out += ",\"build\":";
   out += obs::build_info_json();
   if (const auto ds = dataset_.current(); ds != nullptr) {
@@ -467,12 +467,12 @@ std::string Server::handle_stats(const json::Value& req) const {
 std::string Server::window_json() const {
   const auto snapshots = metrics_.windowed_snapshots();
   std::string out = "{\"window_seconds\":";
-  out += fmt_json_double(options_.stats_window_s);
+  out += json::format_number(options_.stats_window_s);
   double covered = 0.0;
   for (const auto& [name, snap] : snapshots) {
     covered = std::max(covered, snap.covered_seconds);
   }
-  out += ",\"covered_seconds\":" + fmt_json_double(covered);
+  out += ",\"covered_seconds\":" + json::format_number(covered);
   out += ",\"verbs\":{";
   bool first = true;
   for (const auto& [name, snap] : snapshots) {
@@ -500,7 +500,7 @@ std::string Server::window_json() const {
     // report absurd rates in the instant after a verb's first request.
     const double rps =
         covered > 0.0 ? static_cast<double>(snap.count) / covered : 0.0;
-    out += ",\"rps\":" + fmt_json_double(rps);
+    out += ",\"rps\":" + json::format_number(rps);
     out += ",\"p50_ms\":" + window_quantile_ms_json(snap, 0.50);
     out += ",\"p95_ms\":" + window_quantile_ms_json(snap, 0.95);
     out += ",\"p99_ms\":" + window_quantile_ms_json(snap, 0.99);
@@ -546,7 +546,7 @@ std::string Server::telemetry_snapshot_json() {
           std::chrono::system_clock::now().time_since_epoch())
           .count();
   std::string out = "{\"ts_ms\":" + std::to_string(ts_ms);
-  out += ",\"uptime_seconds\":" + fmt_json_double(frame_.uptime_seconds());
+  out += ",\"uptime_seconds\":" + json::format_number(frame_.uptime_seconds());
   out += ",\"window\":";
   out += window_json();
   out += ",\"gauges\":{";

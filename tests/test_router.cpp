@@ -9,11 +9,15 @@
 // mixed-verb concurrency hammer (runs under TSan in CI).
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -571,48 +575,154 @@ TEST(RouterFleet, StalePooledConnectionsDoNotFeedTheBreaker) {
   }
 }
 
-TEST(RouterFleet, WorkerInternalErrorIsReturnedVerbatimWithoutFailover) {
-  // The breaker rule (docs/FLEET.md): a worker that answers at all is
-  // healthy, so its INTERNAL counts as a breaker success and goes back
-  // to the client as-is — another replica would run the same request
-  // into the same failure. The workers are bare FrameServers whose only
-  // answer is INTERNAL.
-  const std::string internal = svc::error_payload(svc::kErrInternal, "worker fell over");
-  std::atomic<int> served{0};
-  obs::MetricsRegistry worker_metrics;
-  std::vector<std::unique_ptr<svc::FrameServer>> workers;
+/// A router in front of two replicas; every test request is a
+/// fingerprint SOLVE, so both workers are candidates and a failover has
+/// somewhere to go.
+svc::RouterOptions two_replica_router(const std::string& worker_a,
+                                      const std::string& worker_b) {
   svc::RouterOptions ro;
-  for (int i = 0; i < 2; ++i) {
-    svc::FrameServerConfig fc;
-    fc.unix_socket_path = unique_socket_path();
-    workers.push_back(std::make_unique<svc::FrameServer>(
-        fc, worker_metrics, [&](const std::string&) {
-          served.fetch_add(1);
-          return internal;
-        }));
-    workers.back()->start();
-    ro.workers.push_back(svc::parse_backend_address("unix:" + fc.unix_socket_path));
-  }
-  ro.replicas = 2;  // a second replica is there to fail over to
+  ro.workers.push_back(svc::parse_backend_address("unix:" + worker_a));
+  ro.workers.push_back(svc::parse_backend_address("unix:" + worker_b));
+  ro.replicas = 2;
   ro.unix_socket_path = unique_socket_path();
   ro.probe_interval_ms = 0.0;
+  return ro;
+}
+
+constexpr const char* kFingerprintSolve =
+    R"({"verb":"SOLVE","fingerprint":"0123456789abcdef"})";
+
+TEST(RouterFleet, WorkerInternalErrorIsReturnedVerbatimWithoutFailover) {
+  // The breaker rule (docs/FLEET.md): a worker that answers at all is
+  // healthy, so every error it answers counts as a breaker success.
+  // Whether the router then tries the other replica is errors.h's
+  // may_fail_over() — INTERNAL, for one, goes back to the client as-is,
+  // because another replica would run the same request into the same
+  // failure. The workers are bare FrameServers whose only answer is the
+  // code under test, so the served count shows every attempt made.
+  for (const char* code :
+       {svc::kErrBadRequest, svc::kErrNotFound, svc::kErrBusy, svc::kErrDeadline,
+        svc::kErrFrameTooLarge, svc::kErrBadFrame, svc::kErrShuttingDown,
+        svc::kErrInternal, svc::kErrUpstream}) {
+    SCOPED_TRACE(code);
+    const std::string answer = svc::error_payload(code, "worker fell over");
+    std::atomic<int> served{0};
+    obs::MetricsRegistry worker_metrics;
+    std::vector<std::unique_ptr<svc::FrameServer>> workers;
+    std::vector<std::string> paths;
+    for (int i = 0; i < 2; ++i) {
+      svc::FrameServerConfig fc;
+      fc.unix_socket_path = unique_socket_path();
+      paths.push_back(fc.unix_socket_path);
+      workers.push_back(std::make_unique<svc::FrameServer>(
+          fc, worker_metrics, [&](const std::string&) {
+            served.fetch_add(1);
+            return answer;
+          }));
+      workers.back()->start();
+    }
+    svc::RouterOptions ro = two_replica_router(paths[0], paths[1]);
+    const std::string router_path = ro.unix_socket_path;
+    svc::Router router(std::move(ro));
+    router.start();
+
+    svc::Client client = svc::Client::connect_unix(router_path);
+    const json::Value r = client.request(kFingerprintSolve);
+    EXPECT_EQ(r.string_or("status", ""), "error");
+    EXPECT_EQ(r.string_or("code", ""), code);
+    EXPECT_EQ(r.string_or("message", ""), "worker fell over");
+    const bool fails_over = svc::ServiceError::may_fail_over(code);
+    EXPECT_EQ(served.load(), fails_over ? 2 : 1);
+    EXPECT_EQ(router.metrics().counter("mcr_router_failovers_total").value(),
+              fails_over ? 1u : 0u);
+    for (const auto& snap : router.backend_snapshots()) {
+      EXPECT_TRUE(snap.up) << snap.name;
+      EXPECT_EQ(snap.breaker, svc::CircuitBreaker::State::kClosed) << snap.name;
+      EXPECT_EQ(snap.failures, 0u) << snap.name;
+    }
+    router.stop_and_drain();
+  }
+}
+
+/// A raw-socket worker that reads one request frame per connection,
+/// answers with a frame header plus half the announced payload, and
+/// hangs up — a worker dying mid-response. It keeps accepting, so a
+/// resend would be seen in `served`.
+class HalfFrameWorker {
+ public:
+  HalfFrameWorker() : path_(unique_socket_path()) {
+    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path_.c_str(), sizeof addr.sun_path - 1);
+    if (listen_fd_ < 0 ||
+        ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+        ::listen(listen_fd_, 8) != 0) {
+      throw std::runtime_error("HalfFrameWorker: cannot listen on " + path_);
+    }
+    thread_ = std::thread([this] { serve(); });
+  }
+  ~HalfFrameWorker() {
+    stop_.store(true);
+    thread_.join();
+    ::close(listen_fd_);
+    ::unlink(path_.c_str());
+  }
+  HalfFrameWorker(const HalfFrameWorker&) = delete;
+  HalfFrameWorker& operator=(const HalfFrameWorker&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] int served() const { return served_.load(); }
+
+ private:
+  void serve() {
+    while (!stop_.load()) {
+      pollfd p{listen_fd_, POLLIN, 0};
+      if (::poll(&p, 1, 20) <= 0) continue;
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) continue;
+      std::string request;
+      if (svc::read_frame(fd, svc::kDefaultMaxFrameBytes, request) ==
+          svc::ReadStatus::kOk) {
+        served_.fetch_add(1);
+        const std::string frame =
+            svc::encode_frame(R"({"status":"ok","note":"this answer is cut off"})");
+        const std::size_t half = (frame.size() - svc::kHeaderBytes) / 2;
+        (void)svc::write_full(fd, std::string_view(frame).substr(0, svc::kHeaderBytes + half));
+      }
+      ::close(fd);
+    }
+  }
+
+  std::string path_;
+  int listen_fd_ = -1;
+  std::atomic<bool> stop_{false};
+  std::atomic<int> served_{0};
+  std::thread thread_;
+};
+
+TEST(RouterFleet, PartialResponseIsNeverResent) {
+  // Hedge safety: once response bytes have arrived the worker may have
+  // acted, so the router must not send the request again — not on
+  // another replica, and not on a fresh connection to the same one.
+  // The client gets the retryable UPSTREAM_UNAVAILABLE and decides.
+  HalfFrameWorker a;
+  HalfFrameWorker b;
+  svc::RouterOptions ro = two_replica_router(a.path(), b.path());
   const std::string router_path = ro.unix_socket_path;
   svc::Router router(std::move(ro));
   router.start();
 
   svc::Client client = svc::Client::connect_unix(router_path);
-  const json::Value r =
-      client.request(R"({"verb":"SOLVE","fingerprint":"0123456789abcdef"})");
-  EXPECT_EQ(r.string_or("status", ""), "error");
-  EXPECT_EQ(r.string_or("code", ""), svc::kErrInternal);
-  EXPECT_EQ(r.string_or("message", ""), "worker fell over");
-  EXPECT_EQ(served.load(), 1);  // no second attempt
+  const json::Value r = client.request(kFingerprintSolve);
+  EXPECT_EQ(r.string_or("code", ""), svc::kErrUpstream);
+  EXPECT_EQ(a.served() + b.served(), 1);
+  EXPECT_EQ(router.metrics().counter("mcr_router_partial_responses_total").value(), 1u);
   EXPECT_EQ(router.metrics().counter("mcr_router_failovers_total").value(), 0u);
-  for (const auto& snap : router.backend_snapshots()) {
-    EXPECT_TRUE(snap.up) << snap.name;
-    EXPECT_EQ(snap.breaker, svc::CircuitBreaker::State::kClosed) << snap.name;
-    EXPECT_EQ(snap.failures, 0u) << snap.name;
-  }
+  const auto snaps = router.backend_snapshots();
+  ASSERT_EQ(snaps.size(), 2u);
+  EXPECT_EQ(snaps[0].failures, static_cast<std::uint64_t>(a.served()));
+  EXPECT_EQ(snaps[1].failures, static_cast<std::uint64_t>(b.served()));
   router.stop_and_drain();
 }
 

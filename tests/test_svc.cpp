@@ -178,7 +178,7 @@ TEST(Protocol, FrameRoundTripThroughPipe) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   const std::string payload = R"({"verb":"PING"})";
-  ASSERT_TRUE(svc::write_all(fds[1], svc::encode_frame(payload)));
+  ASSERT_TRUE(svc::write_full(fds[1], svc::encode_frame(payload)));
   std::string out;
   EXPECT_EQ(svc::read_frame(fds[0], svc::kDefaultMaxFrameBytes, out),
             svc::ReadStatus::kOk);
@@ -192,16 +192,16 @@ TEST(Protocol, RejectsBadMagicOversizeAndTruncation) {
   ASSERT_EQ(::pipe(fds), 0);
   std::string out;
 
-  ASSERT_TRUE(svc::write_all(fds[1], std::string("XXXX\x01\x00\x00\x00z", 9)));
+  ASSERT_TRUE(svc::write_full(fds[1], std::string("XXXX\x01\x00\x00\x00z", 9)));
   // The whole 8-byte header is consumed before the magic check fires.
   EXPECT_EQ(svc::read_frame(fds[0], 1024, out), svc::ReadStatus::kBadMagic);
   char drain[1];
   ASSERT_EQ(::read(fds[0], drain, 1), 1);  // the stray payload byte
 
-  ASSERT_TRUE(svc::write_all(fds[1], std::string("MCR1\xff\xff\xff\xff", 8)));
+  ASSERT_TRUE(svc::write_full(fds[1], std::string("MCR1\xff\xff\xff\xff", 8)));
   EXPECT_EQ(svc::read_frame(fds[0], 1024, out), svc::ReadStatus::kTooLarge);
 
-  ASSERT_TRUE(svc::write_all(fds[1], std::string("MC", 2)));
+  ASSERT_TRUE(svc::write_full(fds[1], std::string("MC", 2)));
   ::close(fds[1]);
   EXPECT_EQ(svc::read_frame(fds[0], 1024, out), svc::ReadStatus::kTruncated);
   EXPECT_EQ(svc::read_frame(fds[0], 1024, out), svc::ReadStatus::kClosed);

@@ -313,6 +313,48 @@ TEST(ToolsE2E, ServeQueryConcurrentClientsAndDrain) {
   fs::remove_all(dir);
 }
 
+// `mcr_query solve --retry` is one SOLVE on the wire when the first
+// attempt succeeds: the retry path hands back the bytes it received
+// instead of asking again for the JSON printer.
+TEST(ToolsE2E, QuerySolveRetrySendsOneSolve) {
+  namespace fs = std::filesystem;
+  const auto dir =
+      fs::temp_directory_path() / ("mcr_e2e_retry." + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string graph = (dir / "g.dimacs").string();
+  const std::string sock = (dir / "mcr.sock").string();
+  const std::string log = (dir / "serve.log").string();
+  ASSERT_EQ(run(tool("mcr_gen") + " circuit --n 64 --seed 5 --out " + graph).exit_code, 0);
+  const pid_t server = spawn_tool({tool("mcr_serve"), "--socket", sock}, log);
+  ASSERT_GT(server, 0);
+  ASSERT_TRUE(wait_for_ping(sock)) << slurp(log);
+
+  const std::string query = tool("mcr_query") + " --socket " + sock;
+  const auto solves = [&] {
+    const auto stats = run(query + " stats --json=");
+    EXPECT_EQ(stats.exit_code, 0) << stats.stdout_text;
+    return mcr::json::parse(stats.stdout_text)
+        .at("metrics")
+        .at("counters")
+        .number_or("mcr_requests_total{verb=\"SOLVE\"}", 0.0);
+  };
+  const auto load = run(query + " load " + graph);
+  ASSERT_EQ(load.exit_code, 0) << load.stdout_text;
+  const std::string fp = load.stdout_text.substr(0, load.stdout_text.find('\n'));
+
+  const double before = solves();
+  const auto solve = run(query + " solve fp:" + fp + " --retry= --output json");
+  ASSERT_EQ(solve.exit_code, 0) << solve.stdout_text;
+  EXPECT_NE(solve.stdout_text.find("\"has_cycle\":true"), std::string::npos)
+      << solve.stdout_text;
+  EXPECT_EQ(solves(), before + 1.0);
+
+  ASSERT_EQ(::kill(server, SIGTERM), 0);
+  int status = -1;
+  ASSERT_EQ(::waitpid(server, &status, 0), server);
+  fs::remove_all(dir);
+}
+
 // Workload observatory e2e: mcr_serve with the windowed-telemetry pump
 // enabled, an open-loop mcr_load run against it, then a cross-check
 // that the client-side exact percentiles agree with the server's

@@ -5,6 +5,8 @@
 #include <csignal>
 #include <stdexcept>
 
+#include "svc/client.h"
+
 namespace mcr::cli {
 
 namespace {
@@ -112,6 +114,17 @@ Options parse(int argc, const char* const* argv) {
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
   return parse(args);
+}
+
+void parse_listen(const Options& opt, std::string& host, int& port) {
+  if (!opt.has("listen")) return;
+  const svc::BackendAddress listen =
+      svc::parse_backend_address(opt.get("listen"), /*allow_port_zero=*/true);
+  if (listen.kind != svc::BackendAddress::Kind::kTcp) {
+    throw std::invalid_argument("--listen expects [HOST:]PORT");
+  }
+  host = listen.host;
+  port = listen.port;
 }
 
 void install_signal_pipe(bool hangup) {

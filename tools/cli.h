@@ -44,6 +44,12 @@ struct Options {
 [[nodiscard]] Options parse(const std::vector<std::string>& args);
 [[nodiscard]] Options parse(int argc, const char* const* argv);
 
+/// The daemons' --listen [HOST:]PORT (HOST defaults to 127.0.0.1, PORT 0
+/// is ephemeral): sets `host` and `port` when the flag is given, leaves
+/// them alone otherwise. Throws std::invalid_argument on a malformed
+/// spec, a unix: one included.
+void parse_listen(const Options& opt, std::string& host, int& port);
+
 /// Daemon signal handling through a self-pipe: SIGPIPE is ignored, and
 /// SIGTERM/SIGINT (plus SIGHUP when `hangup` is set) only write a byte
 /// that wait_for_shutdown() reads on the main thread, where the

@@ -56,10 +56,10 @@
 // least one transport error (or a fatal setup failure); 2 = usage.
 // --strict widens the failure condition: any *service* error (a non-ok
 // protocol response) also exits 1, so CI can assert a clean run.
-// Retryable error codes (BUSY, UPSTREAM_UNAVAILABLE, ...) on
-// idempotent verbs are retried up to twice before counting as errors —
-// the client half of the errors.h retry contract — and the retry count
-// is reported so flakiness stays visible even when absorbed.
+// Idempotent verbs answered with a retryable code (errors.h) are
+// resent up to twice before counting as errors (docs/ROBUSTNESS.md,
+// "Who resends what"); the retry count is reported so flakiness stays
+// visible even when absorbed.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -77,11 +77,11 @@
 
 #include "cli.h"
 #include "obs/build_info.h"
+#include "support/json.h"
 #include "support/prng.h"
 #include "svc/client.h"
 #include "svc/errors.h"
 #include "svc/protocol.h"
-#include "svc/router.h"
 
 namespace {
 
@@ -244,10 +244,7 @@ struct LoadConfig {
 };
 
 mcr::svc::Client connect(const LoadConfig& cfg, std::size_t worker_index) {
-  const mcr::svc::BackendAddress& t = cfg.targets[worker_index % cfg.targets.size()];
-  return t.kind == mcr::svc::BackendAddress::Kind::kUnix
-             ? mcr::svc::Client::connect_unix(t.path)
-             : mcr::svc::Client::connect_tcp(t.host, t.port);
+  return mcr::svc::Client::connect(cfg.targets[worker_index % cfg.targets.size()]);
 }
 
 /// Cold seeds must never repeat across the whole run (any repeat would
@@ -313,13 +310,10 @@ void issue_one(mcr::svc::Client& client, const LoadConfig& cfg, Prng& prng,
     payload = R"({"verb":"SOLVERS"})";
   }
   ++stats.verbs[verb];
-  // Every verb here except RELOAD is idempotent (errors.h: "Retrying
-  // SOLVE is always safe: results are cached and single-flighted by
-  // fingerprint"), so a response carrying a *retryable* error code
-  // (BUSY, UPSTREAM_UNAVAILABLE, ...) is re-sent a bounded number of
-  // times before it counts as an error. That is the documented client
-  // contract — a worker SIGKILLed mid-response behind a router
-  // surfaces as one retryable UPSTREAM_UNAVAILABLE, not a failed run.
+  // Every verb here except RELOAD is idempotent, so a retryable answer
+  // is resent a bounded number of times before it counts as an error —
+  // a worker SIGKILLed mid-response behind a router surfaces as one
+  // retryable UPSTREAM_UNAVAILABLE, not a failed run.
   const bool idempotent = verb != "reload";
   const int max_attempts = idempotent ? 3 : 1;
   for (int attempt = 1;; ++attempt) {
@@ -420,16 +414,7 @@ std::string fmt_opt_ms(const std::optional<double>& v) {
 }
 
 std::string json_opt(const std::optional<double>& v) {
-  if (!v.has_value()) return "null";
-  std::ostringstream os;
-  os << *v;
-  return os.str();
-}
-
-std::string json_double(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
+  return v.has_value() ? mcr::json::format_number(*v) : "null";
 }
 
 }  // namespace
@@ -588,11 +573,11 @@ int main(int argc, char** argv) {
               << fmt_opt_ms(p95) << "  p99 " << fmt_opt_ms(p99) << "  p99.9 "
               << fmt_opt_ms(p999) << "  mean "
               << (total.latencies_ms.empty() ? std::string("-")
-                                             : json_double(mean))
+                                             : json::format_number(mean))
               << "  max "
               << (total.latencies_ms.empty()
                       ? std::string("-")
-                      : json_double(total.latencies_ms.back()))
+                      : json::format_number(total.latencies_ms.back()))
               << "\n";
     std::cout << "  verbs:";
     for (const auto& [verb, n] : total.verbs) {
@@ -613,32 +598,32 @@ int main(int argc, char** argv) {
       out += ",\"mode\":\"";
       out += cfg.open_loop ? "open" : "closed";
       out += "\",\"config\":{\"connections\":" + std::to_string(cfg.connections);
-      out += ",\"cold_pct\":" + json_double(cfg.cold_pct);
+      out += ",\"cold_pct\":" + json::format_number(cfg.cold_pct);
       out += ",\"graph_n\":" + std::to_string(cfg.graph_n);
       out += ",\"seed\":" + std::to_string(cfg.seed);
       out += ",\"phases\":[";
       for (std::size_t i = 0; i < cfg.phases.size(); ++i) {
         if (i != 0) out += ',';
-        out += "{\"rps\":" + json_double(cfg.phases[i].rps) +
-               ",\"seconds\":" + json_double(cfg.phases[i].seconds) + "}";
+        out += "{\"rps\":" + json::format_number(cfg.phases[i].rps) +
+               ",\"seconds\":" + json::format_number(cfg.phases[i].seconds) + "}";
       }
       out += "],\"mix\":{";
       for (std::size_t i = 0; i < cfg.mix.size(); ++i) {
         if (i != 0) out += ',';
         out += "\"" + svc::json_escape(cfg.mix[i].verb) +
-               "\":" + json_double(cfg.mix[i].weight);
+               "\":" + json::format_number(cfg.mix[i].weight);
       }
       out += "}},\"build\":" + obs::build_info_json();
-      out += ",\"wall_seconds\":" + json_double(wall_s);
+      out += ",\"wall_seconds\":" + json::format_number(wall_s);
       out += ",\"completed\":" + std::to_string(total.ok);
-      out += ",\"throughput_rps\":" + json_double(rps);
+      out += ",\"throughput_rps\":" + json::format_number(rps);
       out += ",\"latency_ms\":{\"count\":" +
              std::to_string(total.latencies_ms.size());
       out += ",\"mean\":" +
-             (total.latencies_ms.empty() ? "null" : json_double(mean));
+             (total.latencies_ms.empty() ? "null" : json::format_number(mean));
       out += ",\"max\":" + (total.latencies_ms.empty()
                                 ? "null"
-                                : json_double(total.latencies_ms.back()));
+                                : json::format_number(total.latencies_ms.back()));
       out += ",\"p50\":" + json_opt(p50);
       out += ",\"p95\":" + json_opt(p95);
       out += ",\"p99\":" + json_opt(p99);

@@ -39,9 +39,9 @@
 //   id; every response's trace_id is echoed on stderr so the request's
 //   trace can be fetched back with `trace --trace-id`.
 //
-//   --retry    retry transient failures (BUSY / DEADLINE_EXCEEDED /
-//              SHUTTING_DOWN and transport errors) with exponential
-//              backoff before giving up; safe, SOLVE is idempotent
+//   --retry    solve only: resend on transport errors and retryable
+//              codes (errors.h) with exponential backoff before giving
+//              up; safe, SOLVE is idempotent (docs/ROBUSTNESS.md)
 //   --version  print build provenance and exit
 //   --help     print the verb and exit-code reference
 //
@@ -129,10 +129,12 @@ int exit_code_for(const std::string& code) {
 }
 
 svc::Client connect(const cli::Options& opt) {
-  if (opt.has("socket")) return svc::Client::connect_unix(opt.get("socket"));
+  if (opt.has("socket")) {
+    return svc::Client::connect(svc::parse_backend_address("unix:" + opt.get("socket")));
+  }
   if (opt.has("tcp")) {
-    return svc::Client::connect_tcp(
-        static_cast<int>(opt.get_int_in("tcp", 0, 1, 65535)));
+    return svc::Client::connect(
+        svc::parse_backend_address(std::to_string(opt.get_int_in("tcp", 0, 1, 65535))));
   }
   throw std::invalid_argument("no server address (--socket PATH or --tcp PORT)");
 }
@@ -235,16 +237,11 @@ int do_solve(svc::Client& client, const cli::Options& opt) {
   }
   payload += "}";
 
-  std::string raw;
-  if (opt.has("retry")) {
-    // request_retry throws typed errors; main maps them to exit codes.
-    // The parsed value is discarded here because the json printer below
-    // wants the exact response bytes.
-    (void)client.request_retry(payload);
-    raw = client.request_raw(payload);  // cache hit: instant, byte-stable
-  } else {
-    raw = client.request_raw(payload);
-  }
+  // The retry path throws typed errors (main maps them to exit codes)
+  // and hands back the bytes of its one successful attempt, which the
+  // json printer below needs verbatim.
+  const std::string raw =
+      opt.has("retry") ? client.request_retry_raw(payload) : client.request_raw(payload);
   const json::Value r = json::parse(raw);
   if (const int rc = finish(r); rc != 0) return rc;
 

@@ -34,8 +34,8 @@
 // fans out to all R replicas; STATS/HEALTH are answered by the router
 // itself (STATS {"fanout":true} embeds every worker's STATS); RELOAD
 // fans out once to every healthy worker, never retried. Idempotent
-// verbs fail over to the next replica on BUSY / SHUTTING_DOWN / clean
-// transport errors — never after partial response bytes.
+// verbs fail over to the next replica as errors.h's may_fail_over and
+// docs/ROBUSTNESS.md say — never after partial response bytes.
 //
 // SIGTERM / SIGINT drain gracefully: stop accepting, finish in-flight
 // client requests, exit 0.
@@ -73,16 +73,7 @@ int main(int argc, char** argv) {
 
     svc::RouterOptions ro;
     ro.unix_socket_path = opt.get("socket");
-    if (opt.has("listen")) {
-      const svc::BackendAddress listen =
-          svc::parse_backend_address(opt.get("listen"), /*allow_port_zero=*/true);
-      if (listen.kind != svc::BackendAddress::Kind::kTcp) {
-        std::cerr << "mcr_router: --listen expects [HOST:]PORT\n";
-        return 2;
-      }
-      ro.tcp_bind_host = listen.host;
-      ro.tcp_port = listen.port;
-    }
+    cli::parse_listen(opt, ro.tcp_bind_host, ro.tcp_port);
     for (const std::string& spec : worker_specs) {
       ro.workers.push_back(svc::parse_backend_address(spec));
     }

@@ -65,7 +65,6 @@
 #include "cli.h"
 #include "obs/build_info.h"
 #include "obs/trace_recorder.h"
-#include "svc/router.h"
 #include "svc/server.h"
 
 namespace {
@@ -108,16 +107,7 @@ int main(int argc, char** argv) {
     obs::TraceRecorder recorder;
     svc::ServerOptions so;
     so.unix_socket_path = opt.get("socket");
-    if (opt.has("listen")) {
-      const svc::BackendAddress listen =
-          svc::parse_backend_address(opt.get("listen"), /*allow_port_zero=*/true);
-      if (listen.kind != svc::BackendAddress::Kind::kTcp) {
-        std::cerr << "mcr_serve: --listen expects [HOST:]PORT\n";
-        return 2;
-      }
-      so.tcp_bind_host = listen.host;
-      so.tcp_port = listen.port;
-    }
+    cli::parse_listen(opt, so.tcp_bind_host, so.tcp_port);
     so.solve_threads = static_cast<int>(opt.get_int_in("threads", 0, 0, 4096));
     so.solve_tile_arcs =
         static_cast<std::int32_t>(opt.get_int_in("tile-arcs", 0, 0, 1 << 30));
