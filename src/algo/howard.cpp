@@ -210,9 +210,11 @@ class HowardSolver final : public Solver {
         const std::int64_t factor =
             lambda.den() / std::gcd(cur_den, lambda.den());
         if (!grow_scale(dist, cur_den, factor)) {
-          // Out of 64-bit headroom (unreachable for the supported
-          // weight/transit ranges): finish exactly by cycle canceling,
-          // like the iteration safety valve below.
+          // Out of 64-bit headroom: finish exactly by cycle canceling,
+          // like the iteration safety valve below. Not rare: measured on
+          // 16% of howard_ratio solves of sprand graphs at n = 512,
+          // m = 2048, transit U[1, 10], and more at larger n (test
+          // Howard.ScaleOverflowValveStaysExact keeps it covered).
           obs::emit(obs::EventKind::kSafetyValve, "howard.scale_overflow", iter);
           detail::refine_to_exact(g, kind_, lambda, best_cycle, result.counters,
                                   tiles);

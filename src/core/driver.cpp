@@ -1,5 +1,6 @@
 #include "core/driver.h"
 
+#include <chrono>
 #include <exception>
 #include <optional>
 #include <stdexcept>
@@ -35,8 +36,7 @@ void fault_phase_boundary(const char* phase) {
 }
 
 void throw_if_cancelled(const SolveOptions& options) {
-  if (options.cancel != nullptr &&
-      options.cancel->load(std::memory_order_relaxed)) {
+  if (options.deadline && std::chrono::steady_clock::now() >= *options.deadline) {
     throw SolveCancelled();
   }
 }
@@ -390,13 +390,13 @@ CycleResult maximum_cycle_ratio(const Graph& g, const Solver& solver,
   return negate_back(solve_decomposed(neg, solver, options));
 }
 
-std::vector<CycleResult> solve_many(std::span<const Graph* const> graphs,
-                                    const Solver& solver, const SolveOptions& options) {
+std::vector<CycleResult> solve_many(std::span<const Graph> graphs, const Solver& solver,
+                                    const SolveOptions& options) {
   const bool ratio = solver.kind() == ProblemKind::kCycleRatio;
   // Validate up front (cheap, and keeps the parallel phase exception-free
   // for well-formed batches).
   if (ratio) {
-    for (const Graph* g : graphs) validate_ratio_instance(*g);
+    for (const Graph& g : graphs) validate_ratio_instance(g);
   }
   std::vector<CycleResult> results(graphs.size());
   const obs::SinkScope sink_scope(options.trace);
@@ -419,28 +419,23 @@ std::vector<CycleResult> solve_many(std::span<const Graph* const> graphs,
       .tile_arcs = options.tile_arcs,
       .trace = options.trace,
       .metrics = options.metrics,
-      .cancel = options.cancel};
-  const int threads = resolve_threads(options.num_threads);
-  std::optional<ThreadPool> pool;
-  if (threads > 1 && graphs.size() > 1) {
-    pool.emplace(static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(threads), graphs.size())));
-  }
-  run_indexed(pool ? &*pool : nullptr, graphs.size(), [&](std::size_t i) {
-    results[i] = solve_decomposed(*graphs[i], solver, instance_options);
-  });
-  if (pool && options.metrics != nullptr) {
-    record_pool_metrics(*options.metrics, *pool);
-  }
+      .deadline = options.deadline};
+  for_each_instance(graphs.size(), options.num_threads, options.metrics,
+                    [&](std::size_t i) {
+                      results[i] = solve_decomposed(graphs[i], solver, instance_options);
+                    });
   return results;
 }
 
-std::vector<CycleResult> solve_many(std::span<const Graph> graphs, const Solver& solver,
-                                    const SolveOptions& options) {
-  std::vector<const Graph*> ptrs;
-  ptrs.reserve(graphs.size());
-  for (const Graph& g : graphs) ptrs.push_back(&g);
-  return solve_many(std::span<const Graph* const>(ptrs), solver, options);
+void for_each_instance(std::size_t n, int num_threads, obs::MetricsRegistry* metrics,
+                       const std::function<void(std::size_t)>& task) {
+  const int threads = resolve_threads(num_threads);
+  std::optional<ThreadPool> pool;
+  if (threads > 1 && n > 1) {
+    pool.emplace(static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(threads), n)));
+  }
+  run_indexed(pool ? &*pool : nullptr, n, task);
+  if (pool && metrics != nullptr) record_pool_metrics(*metrics, *pool);
 }
 
 CycleResult minimum_cycle_mean(const Graph& g, const std::string& solver_name,

@@ -14,7 +14,10 @@
 #ifndef MCR_CORE_DRIVER_H
 #define MCR_CORE_DRIVER_H
 
-#include <atomic>
+#include <chrono>
+#include <cstddef>
+#include <functional>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -61,21 +64,22 @@ struct SolveOptions {
   /// scheduling-dependent. nullptr disables metrics entirely.
   obs::MetricsRegistry* metrics = nullptr;
 
-  /// Optional cooperative cancellation flag (deadline enforcement in
-  /// the solve service, shutdown paths). The driver polls it at phase
+  /// Optional deadline (the solve service's per-request deadline_ms).
+  /// The driver compares the steady clock against it at phase
   /// boundaries — on entry, before each component solve, and before
   /// each batch instance in solve_many — and throws SolveCancelled once
-  /// it observes true. A component solve already in progress runs to
+  /// it has passed. A component solve already in progress runs to
   /// completion; cancellation latency is therefore one component, not
-  /// one iteration.
-  const std::atomic<bool>* cancel = nullptr;
+  /// one iteration. Unset (the default) never cancels and reads no
+  /// clock.
+  std::optional<std::chrono::steady_clock::time_point> deadline = std::nullopt;
 };
 
-/// Thrown by the solve entry points when SolveOptions::cancel is set
-/// and observed true at a driver phase boundary.
+/// Thrown by the solve entry points when SolveOptions::deadline has
+/// passed at a driver phase boundary.
 class SolveCancelled : public std::runtime_error {
  public:
-  SolveCancelled() : std::runtime_error("solve cancelled (deadline or shutdown)") {}
+  SolveCancelled() : std::runtime_error("solve cancelled (deadline exceeded)") {}
 };
 
 /// Minimum cycle mean of g using `solver` (a kCycleMean solver).
@@ -104,13 +108,14 @@ class SolveCancelled : public std::runtime_error {
                                                   const Solver& solver,
                                                   const SolveOptions& options = {});
 
-/// Pointer variant for callers whose graphs are not contiguous (the
-/// solve service batches registry-held graphs this way). Null pointers
-/// are invalid. Semantics otherwise identical to the span-of-values
-/// overload.
-[[nodiscard]] std::vector<CycleResult> solve_many(std::span<const Graph* const> graphs,
-                                                  const Solver& solver,
-                                                  const SolveOptions& options = {});
+/// solve_many's instance fan-out, for callers with their own
+/// per-instance solve (the solve service's dispatcher): runs task(i)
+/// for every i in [0, n) on min(n, num_threads) pool workers (resolved
+/// as SolveOptions::num_threads; inline when that is 1), records the
+/// pool's mcr_pool_* stats into `metrics` once when set, and rethrows
+/// the lowest-index task exception.
+void for_each_instance(std::size_t n, int num_threads, obs::MetricsRegistry* metrics,
+                       const std::function<void(std::size_t)>& task);
 
 /// Conveniences that look the solver up by registry name with a default
 /// configuration. "howard" / "howard_ratio" are the recommended defaults.

@@ -43,7 +43,7 @@ enum class Site : std::uint8_t {
   kSockWrite,    // one send()/write() attempt inside a full-write helper
   kWorkerStall,  // thread-pool worker, drawn once per executed task
   kWorkerDeath,  // thread-pool worker, drawn once per executed task
-  kClockSkip,    // deadline arming (simulated clock jump)
+  kClockSkip,    // deadline set-up (simulated clock jump)
   kPhase,        // driver phase boundary (per component solve)
 };
 inline constexpr std::size_t kNumSites = 7;

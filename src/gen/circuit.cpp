@@ -95,7 +95,9 @@ Graph circuit(const CircuitConfig& config) {
       const NodeId tmod = static_cast<NodeId>(rng.uniform_int(umod, num_modules - 1));
       v = static_cast<NodeId>(rng.uniform_int(module_begin(tmod), module_end(tmod) - 1));
     }
-    if (u == v) continue;  // self-loops handled above
+    // Self-loops are handled above, except on a lone register, where
+    // no other arc exists.
+    if (u == v && n > 1) continue;
     arcs.push_back(ArcSpec{u, v, delay(), 1});
   }
 

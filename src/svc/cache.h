@@ -11,7 +11,8 @@
 //   * Single-flight: when a key misses while an identical request is
 //     already solving, the newcomer joins that flight and waits for its
 //     result instead of solving again. Exactly one caller per key is
-//     ever told to solve (the "leader").
+//     ever told to solve (the "leader"); it hands the solve off and
+//     then waits on the same flight, through the same wait().
 //
 // Failures (BUSY rejection, deadline, solver error) complete a flight
 // with an error: every joiner receives it, and nothing is cached —
@@ -19,7 +20,6 @@
 #ifndef MCR_SVC_CACHE_H
 #define MCR_SVC_CACHE_H
 
-#include <condition_variable>
 #include <cstddef>
 #include <list>
 #include <map>
@@ -55,52 +55,53 @@ class ResultCache {
 
   enum class Role {
     kHit,     // result served from cache
-    kLead,    // caller must solve, then publish() or fail()
+    kLead,    // caller must solve (or hand off), then publish() or fail()
     kJoined,  // waited on another caller's flight; result or error below
   };
 
+  /// One in-progress solve of a key; defined in cache.cpp.
+  struct Flight;
+
   struct Outcome {
     Role role = Role::kHit;
-    CycleResult result;     // kHit, or kJoined with empty error
+    CycleResult result;     // kHit, or a completed flight with empty error
     double solve_ms = 0.0;  // wall time of the solve that produced result
-    std::string error_code;     // kJoined only; empty = success
-    std::string error_message;  // kJoined only
+    std::string error_code;     // completed flight only; empty = success
+    std::string error_message;  // completed flight only
+    std::shared_ptr<Flight> flight;  // kLead and kJoined: the flight waited on
   };
 
   /// Looks the key up. kHit returns immediately; kLead makes the caller
-  /// responsible for exactly one publish()/fail() with the same key;
-  /// kJoined blocks until the leader completes and relays its outcome.
+  /// responsible for exactly one publish()/fail() with the same key and
+  /// returns without waiting; kJoined blocks in wait() until the flight
+  /// completes.
   [[nodiscard]] Outcome acquire(const CacheKey& key);
+
+  /// Blocks until the outcome's flight completes and copies its result
+  /// (or error) into the outcome. Joiners get here through acquire(); a
+  /// leader that handed its solve to another thread calls it directly.
+  void wait(Outcome& outcome);
 
   /// Completes the caller's flight with a result: inserts it into the
   /// LRU (evicting the coldest entry beyond capacity) and wakes joiners.
   void publish(const CacheKey& key, const CycleResult& result, double solve_ms);
 
   /// Completes the caller's flight with an error: wakes joiners with
-  /// (code, message); nothing is cached.
+  /// (code, message); nothing is cached. `code` must not be empty.
   void fail(const CacheKey& key, const std::string& code, const std::string& message);
 
   [[nodiscard]] std::size_t size() const;
 
  private:
-  struct Flight {
-    std::condition_variable cv;
-    bool done = false;
-    bool ok = false;
-    CycleResult result;
-    double solve_ms = 0.0;
-    std::string error_code;
-    std::string error_message;
-  };
   struct Entry {
     CacheKey key;
     CycleResult result;
     double solve_ms = 0.0;
   };
 
-  void finish_flight(const CacheKey& key, bool ok, const CycleResult* result,
-                     double solve_ms, const std::string& code,
-                     const std::string& message);
+  /// result == nullptr completes the flight with (code, message).
+  void finish_flight(const CacheKey& key, const CycleResult* result, double solve_ms,
+                     const std::string& code, const std::string& message);
 
   std::size_t capacity_;
   obs::MetricsRegistry* metrics_;

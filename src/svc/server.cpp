@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
+#include <cmath>
 #include <new>
 #include <sstream>
 #include <stdexcept>
@@ -12,9 +12,7 @@
 #include "core/driver.h"
 #include "core/registry.h"
 #include "fault/fault.h"
-#include "gen/circuit.h"
-#include "gen/sprand.h"
-#include "gen/structured.h"
+#include "gen/spec.h"
 #include "graph/io.h"
 #include "obs/build_info.h"
 #include "store/format.h"
@@ -47,42 +45,6 @@ Objective parse_objective(const std::string& s) {
   throw RequestError(kErrBadRequest,
                      "unknown objective '" + s +
                          "' (expected min_mean | min_ratio | max_mean | max_ratio)");
-}
-
-std::int64_t int_field(const json::Value& obj, const std::string& key,
-                       std::int64_t fallback) {
-  if (!obj.has(key)) return fallback;
-  return static_cast<std::int64_t>(obj.at(key).as_double());
-}
-
-Graph generate_from_spec(const json::Value& spec) {
-  const std::string family = spec.string_or("family", "");
-  const auto seed = static_cast<std::uint64_t>(int_field(spec, "seed", 1));
-  if (family == "sprand") {
-    gen::SprandConfig cfg;
-    cfg.n = static_cast<NodeId>(int_field(spec, "n", 512));
-    cfg.m = static_cast<ArcId>(int_field(spec, "m", 2 * int_field(spec, "n", 512)));
-    cfg.min_weight = int_field(spec, "wmin", 1);
-    cfg.max_weight = int_field(spec, "wmax", 10000);
-    cfg.min_transit = int_field(spec, "tmin", 1);
-    cfg.max_transit = int_field(spec, "tmax", 1);
-    cfg.seed = seed;
-    return gen::sprand(cfg);
-  }
-  if (family == "circuit") {
-    gen::CircuitConfig cfg;
-    cfg.registers = static_cast<NodeId>(int_field(spec, "n", 512));
-    cfg.module_size = static_cast<NodeId>(int_field(spec, "module", 32));
-    cfg.seed = seed;
-    return gen::circuit(cfg);
-  }
-  if (family == "ring") {
-    return gen::random_ring(static_cast<NodeId>(int_field(spec, "n", 64)),
-                            int_field(spec, "wmin", 1), int_field(spec, "wmax", 100),
-                            seed);
-  }
-  throw RequestError(kErrBadRequest, "unknown generator family '" + family +
-                                         "' (expected sprand | circuit | ring)");
 }
 
 }  // namespace
@@ -139,7 +101,6 @@ void Server::start() {
     throw;
   }
   dispatch_thread_ = std::thread([this] { dispatch_loop(); });
-  watchdog_thread_ = std::thread([this] { watchdog_loop(); });
   if (pump_enabled) stats_thread_ = std::thread([this] { stats_loop(); });
 }
 
@@ -163,14 +124,7 @@ void Server::stop_and_drain() {
   }
   queue_cv_.notify_all();
   dispatch_thread_.join();
-  // 3. Watchdog.
-  {
-    std::lock_guard lock(deadline_mutex_);
-    stopping_watchdog_ = true;
-  }
-  deadline_cv_.notify_all();
-  watchdog_thread_.join();
-  // 4. Stats pump, last — its final line then reflects every request
+  // 3. Stats pump, last — its final line then reflects every request
   //    that completed during the drain.
   if (stats_thread_.joinable()) {
     {
@@ -396,7 +350,21 @@ std::pair<std::shared_ptr<const Graph>, std::string> Server::resolve_graph(
       return read_dimacs(is);
     }
     if (req.has("path")) return load_dimacs(req.at("path").as_string());
-    if (req.has("generator")) return generate_from_spec(req.at("generator"));
+    if (req.has("generator")) {
+      const json::Value& spec = req.at("generator");
+      const gen::SpecParam param = [&](const std::string& key, std::int64_t fallback) {
+        if (!spec.has(key)) return fallback;
+        const double value = spec.at(key).as_double();
+        if (!(std::abs(value) < 9e18)) {  // no cast to int64 beyond this
+          throw RequestError(kErrBadRequest, "generator " + key + " is out of range");
+        }
+        return static_cast<std::int64_t>(value);
+      };
+      // The largest inline-DIMACS LOAD a frame can carry has about
+      // max_frame_bytes / 8 arcs; a generated graph may not outgrow it.
+      return gen::generate(spec.string_or("family", ""), param,
+                           static_cast<std::int64_t>(options_.max_frame_bytes / 8));
+    }
     throw RequestError(kErrBadRequest,
                        "no graph source (expected one of fingerprint | dimacs | "
                        "path | generator)");
@@ -655,24 +623,20 @@ std::string Server::handle_solve(const json::Value& req, RequestContext& ctx) {
   job->ratio = objective.ratio;
   job->trace = ctx.trace;
   const double deadline_ms = req.number_or("deadline_ms", 0.0);
-  if (deadline_ms > 0.0) ctx.deadline_ms = deadline_ms;
   if (deadline_ms > 0.0) {
-    job->has_deadline = true;
+    ctx.deadline_ms = deadline_ms;
+    // Capped at ~31 years so the microsecond count stays far inside
+    // int64 and the steady clock's range.
     job->deadline = std::chrono::steady_clock::now() +
                     std::chrono::microseconds(
-                        static_cast<std::int64_t>(deadline_ms * 1000.0));
+                        static_cast<std::int64_t>(std::min(deadline_ms, 1e12) * 1000.0));
     // Clock-skip fault point: a kSkip decision jumps the deadline into
     // the past by `param` ms, as if the process had been suspended that
     // long between accepting the request and scheduling it.
     const fault::Decision skip = MCR_FAULT_POINT(fault::Site::kClockSkip);
     if (skip.action == fault::Action::kSkip) {
-      job->deadline -= std::chrono::milliseconds(skip.param);
+      *job->deadline -= std::chrono::milliseconds(skip.param);
     }
-    // Arm BEFORE the job becomes visible to the dispatcher: an
-    // already-expired deadline then cancels synchronously and the
-    // dispatcher expires the job deterministically, instead of racing
-    // the watchdog wake-up against the solve.
-    arm_deadline(job);
   }
   job->enqueue_us = flight_.now_us();
   {
@@ -701,95 +665,40 @@ std::string Server::handle_solve(const json::Value& req, RequestContext& ctx) {
   }
   queue_cv_.notify_one();
 
-  std::unique_lock job_lock(job->mutex);
-  job->cv.wait(job_lock, [&] { return job->done; });
+  // The dispatcher completes the flight; wait on it like any joiner.
+  cache_.wait(outcome);
   ctx.queue_ms = job->queue_wait_ms;
-  if (!job->ok) return respond_error(job->error_code, job->error_message);
-  ctx.solve_ms = job->solve_ms;
-  return respond_ok(job->result, job->solve_ms, false);
+  if (!outcome.error_code.empty()) {
+    return respond_error(outcome.error_code, outcome.error_message);
+  }
+  ctx.solve_ms = outcome.solve_ms;
+  return respond_ok(outcome.result, outcome.solve_ms, false);
 }
 
-void Server::arm_deadline(const std::shared_ptr<SolveJob>& job) {
-  // Already expired (tiny budget, or an injected clock skip): cancel
-  // synchronously instead of registering a watchdog entry that would
-  // fire "immediately" — synchronous cancellation is deterministic,
-  // a watchdog wake-up is a race.
-  if (job->deadline <= std::chrono::steady_clock::now()) {
-    job->cancel->store(true);
-    return;
-  }
-  {
-    std::lock_guard lock(deadline_mutex_);
-    deadlines_.emplace_back(job->deadline, job->cancel);
-  }
-  deadline_cv_.notify_all();
-}
-
-void Server::watchdog_loop() {
-  std::unique_lock lock(deadline_mutex_);
-  for (;;) {
-    if (stopping_watchdog_) return;
-    if (deadlines_.empty()) {
-      deadline_cv_.wait(lock);
-    } else {
-      auto earliest = deadlines_.front().first;
-      for (const auto& [when, token] : deadlines_) earliest = std::min(earliest, when);
-      deadline_cv_.wait_until(lock, earliest);
-    }
-    if (stopping_watchdog_) return;
-    const auto now = std::chrono::steady_clock::now();
-    for (auto it = deadlines_.begin(); it != deadlines_.end();) {
-      if (it->first <= now) {
-        if (const auto token = it->second.lock()) token->store(true);
-        it = deadlines_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-}
-
-void Server::fulfill(SolveJob& job) {
+void Server::release_slot() {
   last_solve_steady_ns_.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                   std::chrono::steady_clock::now().time_since_epoch())
                                   .count());
-  {
-    std::lock_guard lock(job.mutex);
-    job.done = true;
-  }
-  job.cv.notify_all();
-  {
-    std::lock_guard lock(queue_mutex_);
-    --in_flight_;
-    metrics_.gauge("mcr_in_flight").set(static_cast<std::int64_t>(in_flight_));
-  }
+  std::lock_guard lock(queue_mutex_);
+  --in_flight_;
+  metrics_.gauge("mcr_in_flight").set(static_cast<std::int64_t>(in_flight_));
 }
 
-void Server::complete_ok(SolveJob& job, const CycleResult& result, double solve_ms) {
+void Server::complete_ok(const SolveJob& job, const CycleResult& result,
+                         double solve_ms) {
+  release_slot();
   cache_.publish(job.key, result, solve_ms);
-  {
-    std::lock_guard lock(job.mutex);
-    job.ok = true;
-    job.result = result;
-    job.solve_ms = solve_ms;
-  }
-  fulfill(job);
 }
 
-void Server::complete_error(SolveJob& job, const std::string& code,
+void Server::complete_error(const SolveJob& job, const std::string& code,
                             const std::string& message) {
+  release_slot();
   cache_.fail(job.key, code, message);
-  {
-    std::lock_guard lock(job.mutex);
-    job.ok = false;
-    job.error_code = code;
-    job.error_message = message;
-  }
-  fulfill(job);
 }
 
-void Server::solve_single(SolveJob& job) {
-  const auto solver = SolverRegistry::instance().create(job.key.algorithm);
+void Server::solve_single(SolveJob& job, int num_threads) {
+  const double dispatch_begin_us = flight_.now_us();
+  job.end_queue_wait(dispatch_begin_us);
   // Full-detail solver spans (component/iteration/...) flow into the
   // request's trace only when head sampling selected it; the
   // request-level outline (queue/dispatch spans) is recorded for every
@@ -798,12 +707,11 @@ void Server::solve_single(SolveJob& job) {
                    job.trace != nullptr && job.trace->sampled()
                        ? static_cast<obs::TraceSink*>(job.trace.get())
                        : nullptr);
-  const SolveOptions so{.num_threads = options_.solve_threads,
+  const SolveOptions so{.num_threads = num_threads,
                         .tile_arcs = options_.solve_tile_arcs,
                         .trace = tee.effective(),
                         .metrics = &metrics_,
-                        .cancel = job.cancel.get()};
-  const double dispatch_begin_us = flight_.now_us();
+                        .deadline = job.deadline};
   // Recorded before complete_* so the span is inside the trace by the
   // time the leader thread wakes and finishes it.
   const auto record_dispatch = [&] {
@@ -814,6 +722,7 @@ void Server::solve_single(SolveJob& job) {
   };
   Timer timer;
   try {
+    const auto solver = SolverRegistry::instance().create(job.key.algorithm);
     const Graph& g = *job.graph;
     const CycleResult r =
         job.maximize ? (job.ratio ? maximum_cycle_ratio(g, *solver, so)
@@ -835,7 +744,7 @@ void Server::solve_single(SolveJob& job) {
   }
 }
 
-void Server::process_batch(std::vector<std::shared_ptr<SolveJob>>& batch) {
+void Server::process_batch(const std::vector<std::shared_ptr<SolveJob>>& batch) {
   metrics_.histogram("mcr_batch_size", {1, 2, 4, 8, 16, 32, 64, 128})
       .observe(static_cast<double>(batch.size()));
   // Occupancy of the most recent dispatcher batch relative to batch_max,
@@ -846,102 +755,28 @@ void Server::process_batch(std::vector<std::shared_ptr<SolveJob>>& batch) {
                ? 0
                : static_cast<std::int64_t>(100 * batch.size() /
                                            options_.batch_max));
-  // Dispatcher pickup: retro-date each job's queue-wait span back to
-  // its admission time. Recorded here (not at admission) because the
-  // wait only has an end once the dispatcher owns the job.
-  const double pickup_us = flight_.now_us();
-  for (const std::shared_ptr<SolveJob>& job : batch) {
-    job->queue_wait_ms = (pickup_us - job->enqueue_us) / 1000.0;
-    if (job->trace != nullptr) {
-      job->trace->record_span(obs::EventKind::kQueue, "queue",
-                              job->enqueue_us, pickup_us);
-    }
-  }
   // Expire jobs whose deadline passed while queued — no work for them.
-  std::vector<std::shared_ptr<SolveJob>> live;
+  const auto now = std::chrono::steady_clock::now();
+  std::vector<SolveJob*> live;
   live.reserve(batch.size());
-  for (std::shared_ptr<SolveJob>& job : batch) {
-    if (job->cancel->load(std::memory_order_relaxed)) {
+  for (const std::shared_ptr<SolveJob>& job : batch) {
+    if (job->deadline && now >= *job->deadline) {
+      job->end_queue_wait(flight_.now_us());
       metrics_.counter("mcr_deadline_cancelled_total").add(1);
       complete_error(*job, kErrDeadline, "deadline exceeded while queued");
     } else {
-      live.push_back(std::move(job));
+      live.push_back(job.get());
     }
   }
-  // Group by (algorithm, objective); each group is one solver run.
-  std::map<std::pair<std::string, std::string>,
-           std::vector<std::shared_ptr<SolveJob>>>
-      groups;
-  for (std::shared_ptr<SolveJob>& job : live) {
-    groups[{job->key.algorithm, job->key.objective}].push_back(std::move(job));
-  }
-  for (auto& [group_key, jobs] : groups) {
-    const bool maximize = jobs.front()->maximize;
-    if (jobs.size() == 1 || maximize) {
-      // Per-instance path: carries the job's own cancel token, so a
-      // deadline interrupts the solve at driver phase boundaries.
-      for (const std::shared_ptr<SolveJob>& job : jobs) solve_single(*job);
-      continue;
-    }
-    // Batch path: one solve_many spreads the instances across the
-    // work-stealing pool. Ratio instances are validated per job first
-    // so one malformed graph cannot poison the group.
-    std::vector<std::shared_ptr<SolveJob>> valid;
-    valid.reserve(jobs.size());
-    for (const std::shared_ptr<SolveJob>& job : jobs) {
-      if (!job->ratio) {
-        valid.push_back(job);
-        continue;
-      }
-      try {
-        validate_ratio_instance(*job->graph);
-        valid.push_back(job);
-      } catch (const std::exception& e) {
-        complete_error(*job, kErrBadRequest, e.what());
-      }
-    }
-    if (valid.empty()) continue;
-    const double batch_begin_us = flight_.now_us();
-    try {
-      const auto solver = SolverRegistry::instance().create(group_key.first);
-      std::vector<const Graph*> ptrs;
-      ptrs.reserve(valid.size());
-      for (const std::shared_ptr<SolveJob>& job : valid) ptrs.push_back(job->graph.get());
-      const SolveOptions so{.num_threads = options_.solve_threads,
-                            .tile_arcs = options_.solve_tile_arcs,
-                            .trace = options_.trace,
-                            .metrics = &metrics_};
-      Timer timer;
-      const std::vector<CycleResult> results =
-          solve_many(std::span<const Graph* const>(ptrs), *solver, so);
-      const double batch_ms = timer.millis();
-      // Batched jobs share one dispatch interval. Full-detail solver
-      // spans are not attributable per job on this path — sampling
-      // detail applies on the per-instance path only.
-      const double batch_end_us = flight_.now_us();
-      for (std::size_t i = 0; i < valid.size(); ++i) {
-        if (valid[i]->trace != nullptr) {
-          valid[i]->trace->record_span(obs::EventKind::kDispatch,
-                                       group_key.first, batch_begin_us,
-                                       batch_end_us);
-        }
-        complete_ok(*valid[i], results[i], batch_ms);
-      }
-    } catch (const std::exception& e) {
-      const double batch_end_us = flight_.now_us();
-      for (const std::shared_ptr<SolveJob>& job : valid) {
-        if (job->trace != nullptr) {
-          job->trace->record_span(obs::EventKind::kDispatch, group_key.first,
-                                  batch_begin_us, batch_end_us);
-        }
-        complete_error(*job, kErrInternal, e.what());
-      }
-    }
-  }
+  // Every job is solved on its own. Several live jobs run one per pool
+  // worker through the driver's instance fan-out, each single-threaded;
+  // a lone job keeps the configured threads for its components.
+  const int job_threads = live.size() > 1 ? 1 : options_.solve_threads;
+  for_each_instance(live.size(), options_.solve_threads, &metrics_,
+                    [&](std::size_t i) { solve_single(*live[i], job_threads); });
 }
 
 void Server::dispatch_loop() {
-  const obs::SinkScope sink_scope(options_.trace);
   for (;;) {
     std::vector<std::shared_ptr<SolveJob>> batch;
     {

@@ -6,20 +6,24 @@
 //                      (parse frame, cache/single-     (capacity K,
 //                       flight admission)               BUSY beyond)
 //                                                          │
-//   deadline watchdog ◀── arms cancel tokens        dispatcher thread
+//                                                   dispatcher thread
 //                                                   (drains the queue in
-//                                                    batches, groups by
-//                                                    (algorithm, objective),
-//                                                    solve_many on the
-//                                                    work-stealing pool)
+//                                                    batches; each job is
+//                                                    solved on its own, a
+//                                                    multi-job batch one
+//                                                    job per pool worker)
 //
 // Request lifecycle for SOLVE: resolve the graph (content fingerprint
 // via the GraphRegistry), consult the ResultCache (hit → answer from
 // memory; identical request in flight → join it), otherwise become the
-// flight leader and enter the bounded queue. Admission counts every
+// flight leader, enter the bounded queue and wait on the flight like
+// any joiner; the dispatcher completes the flight. Admission counts every
 // admitted-but-unfinished solve: at capacity the request is rejected
 // immediately with BUSY (explicit backpressure — the client decides
-// whether to retry; nothing hangs, nothing is silently dropped).
+// whether to retry; nothing hangs, nothing is silently dropped). A
+// deadline is a time point the job carries into SolveOptions::deadline:
+// a job past it at dispatch is answered without solving, and the driver
+// checks it at every phase boundary.
 //
 // Listeners, connection threads, frame errors, drain and the request
 // latency metrics belong to the svc::FrameServer underneath
@@ -27,8 +31,8 @@
 //
 // Shutdown (stop_and_drain, wired to SIGTERM in mcr_serve): stop
 // accepting, half-close existing connections so no new requests enter,
-// finish every in-flight request, then retire the dispatcher, watchdog
-// and stats pump. In-flight work is never abandoned.
+// finish every in-flight request, then retire the dispatcher and the
+// stats pump. In-flight work is never abandoned.
 #ifndef MCR_SVC_SERVER_H
 #define MCR_SVC_SERVER_H
 
@@ -42,6 +46,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -206,33 +211,32 @@ class Server {
     double deadline_ms = -1.0;
     std::string error_code;  // protocol code; "" = ok
   };
+  /// One admitted SOLVE: queued, then owned by the dispatcher until it
+  /// completes the cache flight for `key` (the leader waits there, not
+  /// on the job).
   struct SolveJob {
     CacheKey key;
     std::shared_ptr<const Graph> graph;
     bool maximize = false;
     bool ratio = false;
-    std::shared_ptr<std::atomic<bool>> cancel =
-        std::make_shared<std::atomic<bool>>(false);
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline{};
+    std::optional<std::chrono::steady_clock::time_point> deadline;
     /// Flight-recorder wiring: the requesting trace (always set by the
     /// leader) plus admission time, so the dispatcher can retro-date
-    /// the queue-wait span from its pickup site.
+    /// the queue-wait span when the job's solve starts.
     std::shared_ptr<obs::RequestTrace> trace;
     double enqueue_us = 0.0;
-    double queue_wait_ms = -1.0;  // written by the dispatcher at pickup
-    // Completion channel (leader connection thread waits here).
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    bool ok = false;
-    CycleResult result;
-    double solve_ms = 0.0;
-    std::string error_code;
-    std::string error_message;
+    double queue_wait_ms = -1.0;  // written by the dispatcher before completion
+
+    /// The queue wait ends when the job's own solve starts (or it
+    /// expires): sets queue_wait_ms and records the queue span.
+    void end_queue_wait(double now_us) {
+      queue_wait_ms = (now_us - enqueue_us) / 1000.0;
+      if (trace != nullptr) {
+        trace->record_span(obs::EventKind::kQueue, "queue", enqueue_us, now_us);
+      }
+    }
   };
   void dispatch_loop();
-  void watchdog_loop();
   void stats_loop();
 
   [[nodiscard]] std::string handle_request(const std::string& payload);
@@ -263,13 +267,15 @@ class Server {
   std::pair<std::shared_ptr<const Graph>, std::string> resolve_graph(
       const json::Value& req);
 
-  void process_batch(std::vector<std::shared_ptr<SolveJob>>& batch);
-  void solve_single(SolveJob& job);
-  void complete_ok(SolveJob& job, const CycleResult& result, double solve_ms);
-  void complete_error(SolveJob& job, const std::string& code,
+  void process_batch(const std::vector<std::shared_ptr<SolveJob>>& batch);
+  /// Solves one job with `num_threads` driver threads, under its own
+  /// deadline, sampled trace and timing, and completes it.
+  void solve_single(SolveJob& job, int num_threads);
+  /// Release the job's admission slot, then complete its cache flight.
+  void complete_ok(const SolveJob& job, const CycleResult& result, double solve_ms);
+  void complete_error(const SolveJob& job, const std::string& code,
                       const std::string& message);
-  void fulfill(SolveJob& job);
-  void arm_deadline(const std::shared_ptr<SolveJob>& job);
+  void release_slot();
 
   ServerOptions options_;
   obs::MetricsRegistry metrics_;
@@ -292,7 +298,6 @@ class Server {
   std::atomic<std::int64_t> last_solve_steady_ns_{-1};
 
   std::thread dispatch_thread_;
-  std::thread watchdog_thread_;
   std::thread stats_thread_;
 
   std::mutex stats_mutex_;
@@ -310,13 +315,6 @@ class Server {
   std::size_t queue_depth_highwater_ = 0;  // deepest queue since start
   bool stopping_ = false;          // refuse new admissions
   bool stopping_dispatch_ = false; // dispatcher exits once queue empty
-
-  std::mutex deadline_mutex_;
-  std::condition_variable deadline_cv_;
-  std::vector<std::pair<std::chrono::steady_clock::time_point,
-                        std::weak_ptr<std::atomic<bool>>>>
-      deadlines_;
-  bool stopping_watchdog_ = false;
 
   /// Last: its connection threads run handle_request, which uses every
   /// member above.

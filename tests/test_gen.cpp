@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
+#include <string>
 
 #include "gen/circuit.h"
+#include "gen/spec.h"
 #include "gen/sprand.h"
 #include "gen/structured.h"
+#include "graph/fingerprint.h"
 #include "graph/scc.h"
 #include "graph/traversal.h"
 
@@ -161,6 +165,17 @@ TEST(Circuit, Deterministic) {
   }
 }
 
+TEST(Circuit, LoneRegisterReachesItsFanout) {
+  // On one register every extra-fanout arc is a self-loop, so they are
+  // allowed there; otherwise the target degree could never be reached.
+  gen::CircuitConfig cfg;
+  cfg.registers = 1;
+  cfg.avg_fanout = 3.0;
+  const Graph g = gen::circuit(cfg);
+  EXPECT_EQ(g.num_nodes(), 1);
+  EXPECT_GE(g.num_arcs(), 3);
+}
+
 TEST(Circuit, RejectsBadConfigs) {
   gen::CircuitConfig cfg;
   cfg.registers = 0;
@@ -215,6 +230,50 @@ TEST(Structured, Validation) {
   EXPECT_THROW(gen::layered_feedback(0, 3, 1, 2, 3), std::invalid_argument);
   EXPECT_THROW(gen::scc_chain(0, 3, 1, 2, 3), std::invalid_argument);
   EXPECT_THROW(gen::path(0), std::invalid_argument);
+}
+
+// Generator specs (gen/spec.h): one builder behind mcr_gen, mcr_pack
+// and the service's "generator" graph source.
+gen::SpecParam spec_of(std::map<std::string, std::int64_t> values) {
+  return [values = std::move(values)](const std::string& key, std::int64_t fallback) {
+    const auto it = values.find(key);
+    return it == values.end() ? fallback : it->second;
+  };
+}
+
+TEST(GenSpec, DefaultsAreTheToolDefaults) {
+  const gen::SpecParam none = spec_of({});
+  gen::SprandConfig sprand;
+  sprand.n = 512;
+  sprand.m = 1024;
+  EXPECT_EQ(fingerprint_hex(gen::generate("sprand", none)), fingerprint_hex(gen::sprand(sprand)));
+  gen::CircuitConfig circuit;
+  circuit.registers = 512;
+  circuit.module_size = 32;
+  circuit.avg_fanout = 1.5;
+  EXPECT_EQ(fingerprint_hex(gen::generate("circuit", none)),
+            fingerprint_hex(gen::circuit(circuit)));
+  EXPECT_EQ(fingerprint_hex(gen::generate("ring", none)),
+            fingerprint_hex(gen::random_ring(64, 1, 100, 1)));
+  EXPECT_EQ(fingerprint_hex(gen::generate("torus", none)),
+            fingerprint_hex(gen::torus(8, 8, 1, 100, 1)));
+  EXPECT_THROW((void)gen::generate("bogus", none), std::invalid_argument);
+}
+
+TEST(GenSpec, EverySizeIsBounded) {
+  const auto ok = [](const std::string& family, std::map<std::string, std::int64_t> v) {
+    return (void)gen::generate(family, spec_of(std::move(v)), 100), true;
+  };
+  EXPECT_TRUE(ok("sprand", {{"n", 10}, {"m", 100}}));
+  EXPECT_THROW(ok("sprand", {{"n", 10}, {"m", 101}}), std::invalid_argument);
+  EXPECT_THROW(ok("ring", {{"n", 0}}), std::invalid_argument);
+  EXPECT_TRUE(ok("torus", {{"rows", 10}, {"cols", 10}}));
+  EXPECT_THROW(ok("torus", {{"rows", 10}, {"cols", 11}}), std::invalid_argument);
+  EXPECT_TRUE(ok("circuit", {{"n", 50}, {"fanout", 201}}));  // 100 arcs
+  EXPECT_THROW(ok("circuit", {{"n", 50}, {"fanout", 202}}), std::invalid_argument);
+  // Unbounded callers are still held to the 32-bit node and arc ids.
+  EXPECT_THROW((void)gen::generate("ring", spec_of({{"n", std::int64_t{1} << 40}})),
+               std::invalid_argument);
 }
 
 }  // namespace

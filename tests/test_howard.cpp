@@ -8,6 +8,7 @@
 #include "gen/sprand.h"
 #include "gen/structured.h"
 #include "graph/builder.h"
+#include "obs/trace_recorder.h"
 
 namespace mcr {
 namespace {
@@ -160,6 +161,30 @@ TEST(Howard, RescaleRegressionRatio) {
   EXPECT_TRUE(verify_result(g, r, ProblemKind::kCycleRatio).ok);
   EXPECT_EQ(r.counters.feasibility_checks, 0u);  // no safety-valve rescue
   EXPECT_LE(r.counters.iterations, 16u);         // pre-fix: ~1200
+}
+
+TEST(Howard, ScaleOverflowValveStaysExact) {
+  // howard_ratio's exact distance scale (the lcm of the policy-cycle
+  // denominators) outgrows 64 bits on about one sprand ratio graph in
+  // six at this size; the solver then finishes by cycle canceling with
+  // Bellman-Ford feasibility checks. This seed takes that path.
+  gen::SprandConfig cfg;
+  cfg.n = 512;
+  cfg.m = 2048;
+  cfg.max_transit = 10;
+  cfg.seed = 8;
+  const Graph g = gen::sprand(cfg);
+  obs::TraceRecorder trace;
+  const auto r = minimum_cycle_ratio(g, "howard_ratio", {.trace = &trace});
+  ASSERT_TRUE(r.has_cycle);
+  EXPECT_EQ(r.value, minimum_cycle_ratio(g, "yto_ratio").value);
+  EXPECT_TRUE(verify_result(g, r, ProblemKind::kCycleRatio).ok);
+  EXPECT_GT(r.counters.feasibility_checks, 0u);  // the valve fired
+  bool scale_overflow = false;
+  for (const obs::TraceRecorder::Event& e : trace.events()) {
+    scale_overflow = scale_overflow || e.name == "howard.scale_overflow";
+  }
+  EXPECT_TRUE(scale_overflow);
 }
 
 TEST(Howard, ManyComponentsViaDriver) {

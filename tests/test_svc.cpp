@@ -23,6 +23,8 @@
 
 #include "core/driver.h"
 #include "core/registry.h"
+#include "gen/circuit.h"
+#include "gen/sprand.h"
 #include "graph/builder.h"
 #include "graph/fingerprint.h"
 #include "graph/io.h"
@@ -70,7 +72,7 @@ std::string dimacs_text(const Graph& g) {
 
 // A deliberately slow mean solver: sleeps kNap per strongly connected
 // component, then delegates to Howard. Registered under two names so
-// tests can force two jobs into different dispatch groups.
+// tests can run two distinct algorithms.
 constexpr auto kNap = 300ms;
 
 class SleepySolver : public Solver {
@@ -263,6 +265,12 @@ TEST(ResultCache, SingleFlightJoinerReceivesLeaderResult) {
   EXPECT_TRUE(joined.error_code.empty());
   EXPECT_EQ(joined.result.value, r.value);
   EXPECT_EQ(joined.solve_ms, 3.0);
+
+  // The leader waits on its own flight the same way.
+  cache.wait(lead);
+  EXPECT_TRUE(lead.error_code.empty());
+  EXPECT_EQ(lead.result.value, r.value);
+  EXPECT_EQ(lead.solve_ms, 3.0);
 }
 
 TEST(ResultCache, FailurePropagatesToJoinersAndCachesNothing) {
@@ -276,6 +284,8 @@ TEST(ResultCache, FailurePropagatesToJoinersAndCachesNothing) {
   std::this_thread::sleep_for(100ms);
   cache.fail(key, svc::kErrBusy, "queue full");
   joiner.join();
+  cache.wait(lead);
+  EXPECT_EQ(lead.error_code, svc::kErrBusy);
 
   if (joined.role == svc::ResultCache::Role::kJoined) {
     EXPECT_EQ(joined.error_code, svc::kErrBusy);
@@ -318,21 +328,24 @@ TEST(GraphRegistry, IdempotentAddLruEvictionAndSharedOwnership) {
 }
 
 // ---------------------------------------------------------------------------
-// Driver cancellation (the deadline hook).
+// Driver cancellation (SolveOptions::deadline).
 
 TEST(DriverCancel, PresetFlagCancelsBeforeAnyWork) {
+  // A deadline already in the past cancels at the driver's entry check.
   const Graph g = make_ring(8, 1);
-  std::atomic<bool> cancel{true};
   SolveOptions options;
-  options.cancel = &cancel;
+  options.deadline = std::chrono::steady_clock::now() - 1ms;
   const auto solver = SolverRegistry::instance().create("howard");
   EXPECT_THROW((void)minimum_cycle_mean(g, *solver, options), SolveCancelled);
 }
 
 TEST(DriverCancel, NullTokenSolvesNormally) {
+  // The default options carry no deadline and never cancel.
   const Graph g = make_ring(8, 1);
   const auto solver = SolverRegistry::instance().create("howard");
-  const CycleResult r = minimum_cycle_mean(g, *solver);
+  const SolveOptions options;
+  EXPECT_FALSE(options.deadline.has_value());
+  const CycleResult r = minimum_cycle_mean(g, *solver, options);
   EXPECT_TRUE(r.has_cycle);
 }
 
@@ -700,10 +713,9 @@ TEST(SvcServer, DeadlineExpiresWhileQueuedOrBeforeSolve) {
   }
 
   // Occupy the dispatcher with a slow solve, then submit a second slow
-  // solve (different algorithm name → different dispatch group, so it
-  // is never batched into the first) with a deadline far shorter than
-  // the dispatcher's busy window. Whether it expires while queued or at
-  // the driver's entry check, the client gets DEADLINE_EXCEEDED.
+  // solve with a deadline far shorter than the dispatcher's busy window.
+  // Whether it expires while queued or at the driver's entry check, the
+  // client gets DEADLINE_EXCEEDED.
   std::thread occupant([&] {
     svc::Client c = svc::Client::connect_unix(so.unix_socket_path);
     const json::Value v = c.solve(fps[0], "min_mean", "test_sleepy");
@@ -730,7 +742,7 @@ TEST(SvcServer, DeadlineCancelsMidSolveAtComponentBoundary) {
   server.start();
 
   // Four disjoint self-loops = four cyclic SCCs; the sleepy solver
-  // spends kNap per component, and the driver polls the cancel token
+  // spends kNap per component, and the driver checks the deadline
   // between components. Deadline of 1.5 naps → cancelled at the second
   // or third component boundary, long before the 4-nap full solve.
   GraphBuilder b(4);
@@ -747,6 +759,200 @@ TEST(SvcServer, DeadlineCancelsMidSolveAtComponentBoundary) {
   EXPECT_EQ(v.string_or("code", ""), "DEADLINE_EXCEEDED");
   EXPECT_LT(elapsed, 4 * kNap);  // cancelled well before a full solve
   EXPECT_GE(server.metrics().counter("mcr_deadline_cancelled_total").value(), 1u);
+  server.stop_and_drain();
+}
+
+// Two SOLVEs with one algorithm and objective, queued behind an
+// occupant, share one dispatcher batch; each is still solved on its
+// own. The first misses its deadline at a component boundary, the
+// second reports its own solve time (fresh and when replayed from the
+// cache) and carries the sampled solver detail in its trace.
+TEST(SvcServer, BatchedJobsKeepOwnDeadlineTimingAndTrace) {
+  ensure_sleepy_solvers();
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  so.solve_threads = 1;  // the batch's jobs run one after another
+  so.flight.slow_ms = 0.0;
+  so.flight.sample_rate = 1.0;
+  svc::Server server(so);
+  server.start();
+
+  GraphBuilder four_loops(4);  // four cyclic components: four naps
+  for (NodeId u = 0; u < 4; ++u) four_loops.add_arc(u, u, 1 + u);
+  std::string fp_occupant;
+  std::string fp_slow;
+  std::string fp_quick;
+  {
+    svc::Client c = svc::Client::connect_unix(so.unix_socket_path);
+    fp_occupant = c.load_dimacs_text(dimacs_text(make_ring(8, 1)));
+    fp_slow = c.load_dimacs_text(dimacs_text(four_loops.build()));
+    fp_quick = c.load_dimacs_text(dimacs_text(make_ring(8, 2)));
+  }
+  std::thread occupant([&] {
+    svc::Client c = svc::Client::connect_unix(so.unix_socket_path);
+    EXPECT_EQ(c.solve(fp_occupant, "min_mean", "test_sleepy2").string_or("status", ""),
+              "ok");
+  });
+  std::this_thread::sleep_for(80ms);
+  // The deadline outlasts the queue wait but not the four-nap solve.
+  const double nap_ms = std::chrono::duration<double, std::milli>(kNap).count();
+  json::Value slow;
+  std::thread slow_client([&] {
+    svc::Client c = svc::Client::connect_unix(so.unix_socket_path);
+    slow = c.solve(fp_slow, "min_mean", "test_sleepy", 2.0 * nap_ms);
+  });
+  std::this_thread::sleep_for(40ms);
+  svc::Client c = svc::Client::connect_unix(so.unix_socket_path);
+  c.set_trace_id("batched-quick");
+  const json::Value fresh = c.solve(fp_quick, "min_mean", "test_sleepy");
+  slow_client.join();
+  occupant.join();
+
+  // One batch for the occupant, one for the two queued jobs.
+  const obs::Histogram::Snapshot batches =
+      server.metrics().histogram("mcr_batch_size").snapshot();
+  EXPECT_EQ(batches.count, 2u);
+  EXPECT_EQ(batches.sum, 3.0);
+
+  EXPECT_EQ(slow.string_or("code", ""), "DEADLINE_EXCEEDED");
+
+  ASSERT_EQ(fresh.string_or("status", ""), "ok");
+  const double fresh_ms = fresh.at("result").at("milliseconds").as_double();
+  EXPECT_GE(fresh_ms, nap_ms);
+  EXPECT_LT(fresh_ms, 2.0 * nap_ms);  // one nap, not the batch's wall time
+  c.set_trace_id("");
+  const json::Value replay = c.solve(fp_quick, "min_mean", "test_sleepy");
+  ASSERT_TRUE(replay.at("cached").as_bool());
+  EXPECT_EQ(replay.at("result").at("milliseconds").as_double(), fresh_ms);
+
+  const std::string trace = c.request_raw(R"({"verb":"TRACE","id":"batched-quick"})");
+  EXPECT_NE(trace.find("\"cat\":\"dispatch\""), std::string::npos);
+  EXPECT_NE(trace.find("\"cat\":\"component\""), std::string::npos);
+  server.stop_and_drain();
+}
+
+// Several cold SOLVEs in one batch at solve_threads = 2 run one job per
+// pool worker; every answer equals the library's.
+TEST(SvcServer, TwoThreadBatchOfColdSolvesMatchesLibrary) {
+  ensure_sleepy_solvers();
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  so.solve_threads = 2;
+  svc::Server server(so);
+  server.start();
+
+  constexpr int kJobs = 6;
+  std::vector<Graph> graphs;
+  std::vector<std::string> fps;
+  std::string fp_occupant;
+  {
+    svc::Client c = svc::Client::connect_unix(so.unix_socket_path);
+    fp_occupant = c.load_dimacs_text(dimacs_text(make_ring(8, 1)));
+    for (int i = 0; i < kJobs; ++i) {
+      gen::SprandConfig cfg;
+      cfg.n = 48 + i;
+      cfg.m = 192;
+      cfg.seed = static_cast<std::uint64_t>(i + 1);
+      graphs.push_back(gen::sprand(cfg));
+      fps.push_back(c.load_dimacs_text(dimacs_text(graphs.back())));
+    }
+  }
+  std::thread occupant([&] {
+    svc::Client c = svc::Client::connect_unix(so.unix_socket_path);
+    EXPECT_EQ(c.solve(fp_occupant, "min_mean", "test_sleepy").string_or("status", ""),
+              "ok");
+  });
+  std::this_thread::sleep_for(80ms);
+  std::vector<json::Value> answers(kJobs);
+  std::vector<std::thread> clients;
+  clients.reserve(kJobs);
+  for (int i = 0; i < kJobs; ++i) {
+    clients.emplace_back([&, i] {
+      svc::Client c = svc::Client::connect_unix(so.unix_socket_path);
+      answers[static_cast<std::size_t>(i)] = c.solve(fps[static_cast<std::size_t>(i)]);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  occupant.join();
+
+  const obs::Histogram::Snapshot batches =
+      server.metrics().histogram("mcr_batch_size").snapshot();
+  EXPECT_EQ(batches.count, 2u);  // the occupant, then all kJobs together
+  EXPECT_EQ(batches.sum, 1.0 + kJobs);
+
+  const auto howard = SolverRegistry::instance().create("howard");
+  for (int i = 0; i < kJobs; ++i) {
+    const json::Value& v = answers[static_cast<std::size_t>(i)];
+    ASSERT_EQ(v.string_or("status", ""), "ok");
+    const CycleResult local = minimum_cycle_mean(graphs[static_cast<std::size_t>(i)], *howard);
+    const json::Value& r = v.at("result");
+    EXPECT_EQ(r.at("value_num").as_double(), static_cast<double>(local.value.num()));
+    EXPECT_EQ(r.at("value_den").as_double(), static_cast<double>(local.value.den()));
+    const auto& arcs = r.at("cycle_arcs").as_array();
+    ASSERT_EQ(arcs.size(), local.cycle.size());
+    for (std::size_t k = 0; k < arcs.size(); ++k) {
+      EXPECT_EQ(arcs[k].as_double(), static_cast<double>(local.cycle[k]));
+    }
+  }
+  // The pool's stats land once its last task is done, which can be
+  // after the answers went out; the drain joins the dispatcher.
+  server.stop_and_drain();
+  std::uint64_t pool_tasks = 0;
+  for (const char* worker : {"0", "1"}) {
+    pool_tasks += server.metrics()
+                      .counter(obs::labeled_name("mcr_pool_tasks_total", {{"worker", worker}}))
+                      .value();
+  }
+  EXPECT_EQ(pool_tasks, static_cast<std::uint64_t>(kJobs));
+}
+
+// A generator spec means the library's graph: the circuit family with
+// and without "fanout" (default 150%, as in mcr_gen and mcr_pack).
+TEST(SvcServer, CircuitGeneratorSpecMatchesLibraryGraph) {
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  svc::Server server(so);
+  server.start();
+  svc::Client c = svc::Client::connect_unix(so.unix_socket_path);
+  for (const int fanout : {0, 220}) {  // 0: omitted
+    std::string spec = R"({"family":"circuit","n":200,"module":16,"seed":5)";
+    if (fanout > 0) spec += ",\"fanout\":" + std::to_string(fanout);
+    spec += "}";
+    const json::Value v = c.request(R"({"verb":"SOLVE","generator":)" + spec + "}");
+    ASSERT_EQ(v.string_or("status", ""), "ok") << spec;
+    gen::CircuitConfig cfg;
+    cfg.registers = 200;
+    cfg.module_size = 16;
+    cfg.avg_fanout = (fanout > 0 ? fanout : 150) / 100.0;
+    cfg.seed = 5;
+    EXPECT_EQ(v.string_or("fingerprint", ""), fingerprint_hex(gen::circuit(cfg))) << spec;
+  }
+  server.stop_and_drain();
+}
+
+// A generated graph may not outgrow the largest inline-DIMACS LOAD a
+// frame can carry: max_frame_bytes / 8 arcs (8192 at 64 KiB).
+TEST(SvcServer, GeneratorSpecBeyondTheFrameBoundIsBadRequest) {
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  so.max_frame_bytes = 64 * 1024;
+  svc::Server server(so);
+  server.start();
+  svc::Client c = svc::Client::connect_unix(so.unix_socket_path);
+  const auto load = [&](const std::string& spec) {
+    const json::Value v = c.request(R"({"verb":"LOAD","generator":)" + spec + "}");
+    return v.string_or("status", "") == "ok" ? std::string("ok") : v.string_or("code", "?");
+  };
+  EXPECT_EQ(load(R"({"family":"sprand","n":100,"m":8192})"), "ok");
+  EXPECT_EQ(load(R"({"family":"sprand","n":100,"m":8193})"), "BAD_REQUEST");
+  EXPECT_EQ(load(R"({"family":"sprand","n":0})"), "BAD_REQUEST");
+  EXPECT_EQ(load(R"({"family":"ring","n":8193})"), "BAD_REQUEST");
+  EXPECT_EQ(load(R"({"family":"torus","rows":128,"cols":64})"), "ok");
+  EXPECT_EQ(load(R"({"family":"torus","rows":128,"cols":65})"), "BAD_REQUEST");
+  EXPECT_EQ(load(R"({"family":"circuit","n":8192,"fanout":101})"), "BAD_REQUEST");
+  EXPECT_EQ(load(R"({"family":"sprand","n":1e300})"), "BAD_REQUEST");
+  // The connection survives every rejection.
+  EXPECT_TRUE(c.ping());
   server.stop_and_drain();
 }
 

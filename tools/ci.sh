@@ -30,7 +30,7 @@
 # The Release config additionally gates against the committed
 # BENCH_baseline.json via the bench_all.sh --update-baseline recipe, and
 # runs the end-to-end benchmark's answer check (e2e_bench built into
-# build-e2e, ctest bench_e2e_smoke_trace0).
+# build-e2e, ctest bench_e2e_smoke_trace0 and bench_e2e_smoke_trace1).
 # The sanitizer configs compile the fault-injection hooks in and run the
 # mcr_chaos seeded sweep (ASan, with --repeat-check; the sweep's
 # in-process servers run tiny always-on flight recorders whose capacity
@@ -304,13 +304,14 @@ if [[ "$FAST" == 0 ]]; then
   bench_smoke build
 
   echo "=== e2e benchmark answer check ==="
-  # One short pass over all four benchmark workloads: every SOLVE answer
-  # is byte-compared against verified results through both mcr_serve and
-  # mcr_router, and the router's failover counters must stay 0
-  # (e2e_bench/README.md).
+  # One short pass over all four benchmark workloads, untraced and
+  # traced: every SOLVE answer is byte-compared against verified results
+  # through both mcr_serve and mcr_router, and the router's failover
+  # counters must stay 0; the traced pass also reads the per-layer
+  # breakdown, request-log queue_ms/solve_ms included (e2e_bench/README.md).
   run cmake -S e2e_bench -B build-e2e -DCMAKE_BUILD_TYPE=Release
   run cmake --build build-e2e -j "$JOBS"
-  run ctest --test-dir build-e2e -R bench_e2e_smoke_trace0 --output-on-failure
+  run ctest --test-dir build-e2e -R 'bench_e2e_smoke_trace[01]' --output-on-failure
 
   echo "=== bench baseline gate ==="
   # Gate against the committed baseline: rerun the exact recipe that

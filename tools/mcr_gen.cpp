@@ -2,61 +2,20 @@
 //
 //   mcr_gen sprand  --n 512 --m 1024 [--wmin 1] [--wmax 10000]
 //                   [--tmin 1] [--tmax 1] [--seed 1] [--out FILE]
-//   mcr_gen circuit --n 512 [--module 32] [--fanout 160]  # fanout in %
+//   mcr_gen circuit --n 512 [--module 32] [--fanout 150]  # fanout in %
 //                   [--seed 1] [--out FILE]
 //   mcr_gen ring    --n 64 [--wmin 1] [--wmax 100] [--seed 1] [--out FILE]
 //   mcr_gen torus   --rows 8 --cols 8 [--wmin 1] [--wmax 100] [--seed 1]
 //
 // Without --out the graph is written to stdout.
 #include <fstream>
+#include <functional>
 #include <iostream>
 
 #include "cli.h"
-#include "gen/circuit.h"
-#include "gen/sprand.h"
-#include "gen/structured.h"
+#include "gen/spec.h"
 #include "graph/io.h"
 #include "obs/build_info.h"
-
-namespace {
-
-using namespace mcr;
-
-Graph generate(const std::string& family, const cli::Options& opt) {
-  const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
-  if (family == "sprand") {
-    gen::SprandConfig cfg;
-    cfg.n = static_cast<NodeId>(opt.get_int("n", 512));
-    cfg.m = static_cast<ArcId>(opt.get_int("m", 2 * cfg.n));
-    cfg.min_weight = opt.get_int("wmin", 1);
-    cfg.max_weight = opt.get_int("wmax", 10000);
-    cfg.min_transit = opt.get_int("tmin", 1);
-    cfg.max_transit = opt.get_int("tmax", 1);
-    cfg.seed = seed;
-    return gen::sprand(cfg);
-  }
-  if (family == "circuit") {
-    gen::CircuitConfig cfg;
-    cfg.registers = static_cast<NodeId>(opt.get_int("n", 512));
-    cfg.module_size = static_cast<NodeId>(opt.get_int("module", 32));
-    cfg.avg_fanout = static_cast<double>(opt.get_int("fanout", 150)) / 100.0;
-    cfg.seed = seed;
-    return gen::circuit(cfg);
-  }
-  if (family == "ring") {
-    return gen::random_ring(static_cast<NodeId>(opt.get_int("n", 64)),
-                            opt.get_int("wmin", 1), opt.get_int("wmax", 100), seed);
-  }
-  if (family == "torus") {
-    return gen::torus(static_cast<NodeId>(opt.get_int("rows", 8)),
-                      static_cast<NodeId>(opt.get_int("cols", 8)),
-                      opt.get_int("wmin", 1), opt.get_int("wmax", 100), seed);
-  }
-  throw std::invalid_argument("unknown family '" + family +
-                              "' (expected sprand | circuit | ring | torus)");
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace mcr;
@@ -70,7 +29,8 @@ int main(int argc, char** argv) {
       std::cerr << "usage: mcr_gen <sprand|circuit|ring|torus> [options] [--out FILE]\n";
       return 2;
     }
-    const Graph g = generate(opt.positional[0], opt);
+    const Graph g = gen::generate(opt.positional[0],
+                                    std::bind_front(&cli::Options::get_int, &opt));
     const std::string comment = "mcr_gen " + opt.positional[0] + " n=" +
                                 std::to_string(g.num_nodes()) + " m=" +
                                 std::to_string(g.num_arcs());

@@ -12,12 +12,11 @@
 // See docs/STORAGE.md for the format.
 //
 // Exit codes: 0 = ok, 1 = error (including pack rejection), 2 = usage.
+#include <functional>
 #include <iostream>
 
 #include "cli.h"
-#include "gen/circuit.h"
-#include "gen/sprand.h"
-#include "gen/structured.h"
+#include "gen/spec.h"
 #include "graph/io.h"
 #include "obs/build_info.h"
 #include "store/format.h"
@@ -27,40 +26,6 @@
 namespace {
 
 using namespace mcr;
-
-Graph generate(const std::string& family, const cli::Options& opt) {
-  const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
-  if (family == "sprand") {
-    gen::SprandConfig cfg;
-    cfg.n = static_cast<NodeId>(opt.get_int("n", 512));
-    cfg.m = static_cast<ArcId>(opt.get_int("m", 2 * cfg.n));
-    cfg.min_weight = opt.get_int("wmin", 1);
-    cfg.max_weight = opt.get_int("wmax", 10000);
-    cfg.min_transit = opt.get_int("tmin", 1);
-    cfg.max_transit = opt.get_int("tmax", 1);
-    cfg.seed = seed;
-    return gen::sprand(cfg);
-  }
-  if (family == "circuit") {
-    gen::CircuitConfig cfg;
-    cfg.registers = static_cast<NodeId>(opt.get_int("n", 512));
-    cfg.module_size = static_cast<NodeId>(opt.get_int("module", 32));
-    cfg.avg_fanout = static_cast<double>(opt.get_int("fanout", 150)) / 100.0;
-    cfg.seed = seed;
-    return gen::circuit(cfg);
-  }
-  if (family == "ring") {
-    return gen::random_ring(static_cast<NodeId>(opt.get_int("n", 64)),
-                            opt.get_int("wmin", 1), opt.get_int("wmax", 100), seed);
-  }
-  if (family == "torus") {
-    return gen::torus(static_cast<NodeId>(opt.get_int("rows", 8)),
-                      static_cast<NodeId>(opt.get_int("cols", 8)),
-                      opt.get_int("wmin", 1), opt.get_int("wmax", 100), seed);
-  }
-  throw std::invalid_argument("unknown family '" + family +
-                              "' (expected sprand | circuit | ring | torus)");
-}
 
 void report_write(const std::string& out_path, const store::PackWriteInfo& info) {
   std::cerr << "wrote " << out_path << " (" << info.file_bytes << " bytes, fingerprint "
@@ -148,7 +113,8 @@ int main(int argc, char** argv) {
         std::cerr << usage;
         return 2;
       }
-      const Graph g = generate(opt.positional[1], opt);
+      const Graph g = gen::generate(opt.positional[1],
+                                      std::bind_front(&cli::Options::get_int, &opt));
       report_write(opt.get("out"), store::write_pack(opt.get("out"), g));
       return 0;
     }
