@@ -110,7 +110,7 @@ std::optional<std::pair<int128, int128>> karp_table(const Graph& g, D inf,
   const std::size_t chunk_nodes = chunks ? (un + chunks - 1) / chunks : 0;
   std::vector<ChunkBest> chunk_best(chunks);
   const std::size_t last = static_cast<std::size_t>(n) * un;
-  run_tiles(pool, chunks, [&](std::size_t c) {
+  run_indexed(pool, chunks, [&](std::size_t c) {
     ChunkBest best;
     const NodeId lo = static_cast<NodeId>(c * chunk_nodes);
     const NodeId hi = static_cast<NodeId>(std::min(un, (c + 1) * chunk_nodes));

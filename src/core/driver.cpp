@@ -1,7 +1,6 @@
 #include "core/driver.h"
 
 #include <chrono>
-#include <exception>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -59,33 +58,6 @@ void record_pool_metrics(obs::MetricsRegistry& metrics, const ThreadPool& pool) 
     metrics.counter(name("mcr_pool_steals_total")).add(stats[w].steals);
     metrics.counter(name("mcr_pool_idle_microseconds_total"))
         .add(static_cast<std::uint64_t>(stats[w].idle_seconds * 1e6));
-  }
-}
-
-/// Runs tasks[0..n) either inline (null pool or a single task) or
-/// across the given pool, capturing any exception per slot; the first
-/// (lowest-index) exception is rethrown so failure behaviour does not
-/// depend on thread scheduling. The caller owns the pool — sizing it,
-/// sharing it across waves, and recording its metrics once at the end.
-template <typename Fn>
-void run_indexed(ThreadPool* pool, std::size_t n, const Fn& task) {
-  if (pool == nullptr || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) task(i);
-    return;
-  }
-  std::vector<std::exception_ptr> errors(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pool->submit([&task, &errors, i] {
-      try {
-        task(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  pool->wait_idle();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
   }
 }
 
@@ -308,7 +280,7 @@ CycleResult solve_decomposed(const Graph& g, const Solver& solver,
   }
 
   // The pool's work is done (tile waves and component tasks both drain
-  // through run_tiles/run_indexed wait_idle); record its utilization
+  // through run_indexed's wait_idle); record its utilization
   // exactly once per pool lifetime — see record_pool_metrics.
   if (pool && options.metrics != nullptr) {
     record_pool_metrics(*options.metrics, *pool);

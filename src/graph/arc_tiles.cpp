@@ -1,9 +1,6 @@
 #include "graph/arc_tiles.h"
 
-#include <exception>
 #include <stdexcept>
-
-#include "support/thread_pool.h"
 
 namespace mcr {
 
@@ -47,30 +44,6 @@ ArcTilePartition::ArcTilePartition(std::span<const std::int32_t> first,
     tiles_.push_back(t);
     v = t.shares_last ? w : w + 1;
     pos = pos_end;
-  }
-}
-
-void run_tiles(ThreadPool* pool, std::size_t count,
-               const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  // One exception slot per tile; rethrow the lowest index so failure
-  // behaviour does not depend on thread scheduling.
-  std::vector<std::exception_ptr> errors(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    pool->submit([&fn, &errors, i] {
-      try {
-        fn(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  pool->wait_idle();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
   }
 }
 

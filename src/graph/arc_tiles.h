@@ -27,15 +27,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "graph/graph.h"
+#include "support/thread_pool.h"
 
 namespace mcr {
-
-class ThreadPool;
 
 /// Tile-engine work counters, owned by the driver and exported as the
 /// mcr_ops_tiles_* metrics. Kept out of OpCounters deliberately: the
@@ -93,12 +91,6 @@ class ArcTilePartition {
   std::vector<ArcTile> tiles_;
   std::int32_t positions_ = 0;
 };
-
-/// Runs fn(0..count) either inline (null pool or a single item) or as
-/// pool tasks. Exceptions are captured per slot and the lowest-index
-/// one is rethrown, so failure behaviour is schedule-independent.
-void run_tiles(ThreadPool* pool, std::size_t count,
-               const std::function<void(std::size_t)>& fn);
 
 /// Lock-free max-fold for the "last improved node" style reductions:
 /// deterministic (the max does not depend on update order) and cheap.
@@ -180,7 +172,7 @@ class TiledSweep {
     };
     std::vector<Partial> partials(tiles.size() * 2, Partial{kInvalidNode, none});
 
-    run_tiles(pool_, tiles.size(), [&](std::size_t t) {
+    run_indexed(pool_, tiles.size(), [&](std::size_t t) {
       const ArcTile& tile = tiles[t];
       std::size_t slot = t * 2;
       for (NodeId v = tile.node_begin; v <= tile.node_end; ++v) {

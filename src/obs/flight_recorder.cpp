@@ -6,8 +6,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "support/json.h"
@@ -18,71 +16,13 @@ namespace mcr::obs {
 // ---------------------------------------------------------------------------
 // RequestTrace
 
-std::uint32_t RequestTrace::thread_index_locked() {
-  const auto id = std::this_thread::get_id();
-  const auto it = thread_ids_.find(id);
-  if (it != thread_ids_.end()) return it->second;
-  const auto tid = static_cast<std::uint32_t>(thread_ids_.size());
-  thread_ids_.emplace(id, tid);
-  return tid;
-}
-
-void RequestTrace::push(TraceRecorder::Event&& e) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (events_.size() >= kMaxEvents) {
-    ++dropped_;
-    return;
-  }
-  e.tid = thread_index_locked();
-  events_.push_back(std::move(e));
-}
-
-void RequestTrace::begin_span(EventKind kind, std::string_view name) {
-  push({kind, TraceRecorder::Phase::kBegin, std::string(name), 0, 0,
-        micros_now()});
-}
-
-void RequestTrace::end_span(EventKind kind) {
-  push({kind, TraceRecorder::Phase::kEnd, std::string(), 0, 0, micros_now()});
-}
-
-void RequestTrace::instant(EventKind kind, std::string_view name,
-                           std::int64_t value) {
-  push({kind, TraceRecorder::Phase::kInstant, std::string(name), value, 0,
-        micros_now()});
-}
-
-void RequestTrace::record_span(EventKind kind, std::string_view name,
-                               double begin_us, double end_us) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (events_.size() + 2 > kMaxEvents) {
-    dropped_ += 2;
-    return;
-  }
-  const std::uint32_t tid = thread_index_locked();
-  events_.push_back({kind, TraceRecorder::Phase::kBegin, std::string(name), 0,
-                     tid, begin_us});
-  events_.push_back(
-      {kind, TraceRecorder::Phase::kEnd, std::string(), 0, tid, end_us});
-}
-
 void RequestTrace::note(std::string_view key, std::string_view value) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(notes_mutex_);
   notes_.emplace_back(std::string(key), std::string(value));
 }
 
-std::vector<TraceRecorder::Event> RequestTrace::events() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return events_;
-}
-
-std::uint64_t RequestTrace::dropped_events() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_;
-}
-
 std::vector<std::pair<std::string, std::string>> RequestTrace::notes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(notes_mutex_);
   return notes_;
 }
 
@@ -171,125 +111,66 @@ std::vector<std::shared_ptr<const RequestTrace>> FlightRecorder::select(
   return matched;
 }
 
-void FlightRecorder::write_chrome_trace(std::ostream& os,
-                                        const Filter& filter) const {
+std::string FlightRecorder::chrome_trace_json(const Filter& filter) const {
   const auto traces = select(filter);
   std::string out;
   out.reserve(traces.size() * 1024 + 64);
   out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto emit = [&](std::string_view fragment) {
-    if (!first) out += ',';
-    first = false;
-    out += fragment;
-  };
   int pid = 0;
   for (const auto& t : traces) {
     ++pid;
-    const std::string pid_tid_prefix = ",\"pid\":" + std::to_string(pid);
-    {
-      // Process-name metadata: one Perfetto track group per request.
-      std::string m = "{\"name\":\"process_name\",\"ph\":\"M\"";
-      m += pid_tid_prefix;
-      m += ",\"tid\":0,\"args\":{\"name\":\"";
-      json::append_escaped(m, t->verb());
-      m += ' ';
-      json::append_escaped(m, t->trace_id());
-      m += "\"}}";
-      emit(m);
+    // Process-name metadata: one Perfetto track group per request.
+    std::string args = "{\"name\":\"";
+    json::append_escaped(args, t->verb());
+    args += ' ';
+    json::append_escaped(args, t->trace_id());
+    args += "\"}";
+    TraceRecorder::append_chrome_event(
+        out, {.name = "process_name", .ph = "M", .pid = pid, .args = args});
+    // request_info instant: identity, outcome, notes.
+    args = "{\"trace_id\":\"";
+    json::append_escaped(args, t->trace_id());
+    args += "\",\"verb\":\"";
+    json::append_escaped(args, t->verb());
+    if (!t->parent_span().empty()) {
+      args += "\",\"parent_span\":\"";
+      json::append_escaped(args, t->parent_span());
     }
-    {
-      // request_info instant: identity, outcome, notes.
-      std::string m = "{\"name\":\"request_info\",\"cat\":\"request\","
-                      "\"ph\":\"i\",\"s\":\"p\",\"ts\":";
-      m += json::format_number(t->start_us());
-      m += pid_tid_prefix;
-      m += ",\"tid\":0,\"args\":{\"trace_id\":\"";
-      json::append_escaped(m, t->trace_id());
-      m += "\",\"verb\":\"";
-      json::append_escaped(m, t->verb());
-      if (!t->parent_span().empty()) {
-        m += "\",\"parent_span\":\"";
-        json::append_escaped(m, t->parent_span());
-      }
-      m += "\",\"status\":\"";
-      json::append_escaped(m, t->error_code().empty() ? "ok" : t->error_code());
-      m += "\",\"duration_ms\":";
-      m += json::format_number(t->duration_ms());
-      m += ",\"sampled\":";
-      m += t->sampled() ? "true" : "false";
-      m += ",\"pinned\":";
-      m += t->pinned() ? "true" : "false";
-      if (const std::uint64_t dropped = t->dropped_events(); dropped > 0) {
-        m += ",\"dropped_events\":" + std::to_string(dropped);
-      }
-      for (const auto& [key, value] : t->notes()) {
-        m += ",\"";
-        json::append_escaped(m, key);
-        m += "\":\"";
-        json::append_escaped(m, value);
-        m += '"';
-      }
-      m += "}}";
-      emit(m);
+    args += "\",\"status\":\"";
+    json::append_escaped(args, t->error_code().empty() ? "ok" : t->error_code());
+    args += "\",\"duration_ms\":";
+    args += json::format_number(t->duration_ms());
+    args += ",\"sampled\":";
+    args += t->sampled() ? "true" : "false";
+    args += ",\"pinned\":";
+    args += t->pinned() ? "true" : "false";
+    if (const std::uint64_t dropped = t->dropped_events(); dropped > 0) {
+      args += ",\"dropped_events\":" + std::to_string(dropped);
     }
-    // Per-thread stacks of open span names so "E" events repeat the
-    // name (Perfetto matches on it when present) — same convention as
-    // TraceRecorder::write_chrome_trace.
-    std::map<std::uint32_t, std::vector<std::string>> open;
-    for (const TraceRecorder::Event& e : t->events()) {
-      std::string m;
-      const auto common = [&](const char* ph, std::string_view name) {
-        m += "{\"name\":\"";
-        json::append_escaped(m, name);
-        m += "\",\"cat\":\"";
-        m += to_string(e.kind);
-        m += "\",\"ph\":\"";
-        m += ph;
-        m += "\",\"ts\":";
-        m += json::format_number(e.micros);
-        m += pid_tid_prefix;
-        m += ",\"tid\":" + std::to_string(e.tid);
-      };
-      switch (e.phase) {
-        case TraceRecorder::Phase::kBegin:
-          common("B", e.name);
-          m += '}';
-          open[e.tid].push_back(e.name);
-          break;
-        case TraceRecorder::Phase::kEnd: {
-          auto& stack = open[e.tid];
-          const std::string name =
-              stack.empty() ? std::string(to_string(e.kind)) : stack.back();
-          if (!stack.empty()) stack.pop_back();
-          common("E", name);
-          m += '}';
-          break;
-        }
-        case TraceRecorder::Phase::kInstant:
-          common("i", e.name);
-          m += ",\"s\":\"t\",\"args\":{\"value\":";
-          m += std::to_string(e.value);
-          m += "}}";
-          break;
-      }
-      emit(m);
+    for (const auto& [key, value] : t->notes()) {
+      args += ",\"";
+      json::append_escaped(args, key);
+      args += "\":\"";
+      json::append_escaped(args, value);
+      args += '"';
     }
+    args += '}';
+    TraceRecorder::append_chrome_event(out, {.name = "request_info",
+                                             .cat = "request",
+                                             .ph = "i",
+                                             .ts = t->start_us(),
+                                             .pid = pid,
+                                             .scope = "p",
+                                             .args = args});
+    t->append_chrome_events(out, pid);
   }
   out += "]}";
-  os << out;
-}
-
-std::string FlightRecorder::chrome_trace_json(const Filter& filter) const {
-  std::ostringstream os;
-  write_chrome_trace(os, filter);
-  return os.str();
+  return out;
 }
 
 std::string FlightRecorder::dump_json() const {
   Filter everything;
   everything.limit = 0;
-  everything.min_ms = -1.0;
   return chrome_trace_json(everything);
 }
 

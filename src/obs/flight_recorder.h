@@ -24,12 +24,9 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/obs.h"
@@ -39,29 +36,15 @@ namespace mcr::obs {
 
 class FlightRecorder;
 
-/// One request's trace: identity, outcome metadata, key/value notes,
-/// and a bounded event log in TraceRecorder::Event form. Implements
-/// TraceSink so it can be installed (SinkScope / SolveOptions::trace)
-/// on any thread doing work for the request; pool workers get dense
-/// per-trace thread ids exactly like TraceRecorder assigns them.
-class RequestTrace final : public TraceSink {
+/// One request's trace: a TraceRecorder on the flight recorder's epoch,
+/// capped at kMaxEvents, plus the request's identity, outcome and
+/// key/value notes. Being a TraceSink, it can be installed (SinkScope /
+/// SolveOptions::trace) on any thread doing work for the request.
+class RequestTrace final : public TraceRecorder {
  public:
   /// Hard cap on events retained per trace; emissions beyond it bump
   /// dropped_events() instead of allocating.
   static constexpr std::size_t kMaxEvents = 4096;
-
-  void begin_span(EventKind kind, std::string_view name) override;
-  void end_span(EventKind kind) override;
-  void instant(EventKind kind, std::string_view name,
-               std::int64_t value) override;
-
-  /// Retro-dated span with explicit recorder-epoch timestamps (µs).
-  /// Used for intervals whose start predates the recording thread
-  /// reaching the emission site — e.g. the queue-wait span is recorded
-  /// by the dispatcher when it picks the job up, dated back to
-  /// admission time.
-  void record_span(EventKind kind, std::string_view name, double begin_us,
-                   double end_us);
 
   /// Attaches a key/value annotation (fingerprint, algo, cache status,
   /// ...); exported under the trace's request_info args.
@@ -79,8 +62,6 @@ class RequestTrace final : public TraceSink {
   /// Start time in recorder-epoch microseconds.
   [[nodiscard]] double start_us() const { return start_us_; }
 
-  [[nodiscard]] std::vector<TraceRecorder::Event> events() const;
-  [[nodiscard]] std::uint64_t dropped_events() const;
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> notes() const;
 
  private:
@@ -88,37 +69,25 @@ class RequestTrace final : public TraceSink {
   RequestTrace(std::string trace_id, std::string verb, std::string parent_span,
                bool sampled, double start_us,
                std::chrono::steady_clock::time_point epoch)
-      : trace_id_(std::move(trace_id)),
+      : TraceRecorder(epoch, kMaxEvents),
+        trace_id_(std::move(trace_id)),
         verb_(std::move(verb)),
         parent_span_(std::move(parent_span)),
         sampled_(sampled),
-        start_us_(start_us),
-        epoch_(epoch) {}
-
-  void push(TraceRecorder::Event&& e);
-  [[nodiscard]] double micros_now() const {
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
-  }
-  std::uint32_t thread_index_locked();
+        start_us_(start_us) {}
 
   const std::string trace_id_;
   const std::string verb_;
   const std::string parent_span_;
   const bool sampled_;
   const double start_us_;
-  const std::chrono::steady_clock::time_point epoch_;
 
   // Set once by FlightRecorder::finish (before publication to the ring).
   double duration_ms_ = 0.0;
   std::string error_code_;
   bool pinned_ = false;
 
-  mutable std::mutex mutex_;
-  std::vector<TraceRecorder::Event> events_;
-  std::map<std::thread::id, std::uint32_t> thread_ids_;
-  std::uint64_t dropped_ = 0;
+  mutable std::mutex notes_mutex_;
   std::vector<std::pair<std::string, std::string>> notes_;
 };
 
@@ -178,7 +147,6 @@ class FlightRecorder {
   /// Chrome trace_event JSON of the selected traces: one pid per trace
   /// with a process_name metadata record, plus a request_info instant
   /// carrying identity/outcome/notes. Loadable in Perfetto.
-  void write_chrome_trace(std::ostream& os, const Filter& filter) const;
   [[nodiscard]] std::string chrome_trace_json(const Filter& filter) const;
 
   /// Everything currently retained (ring + pinned, no limit) as Chrome

@@ -1,6 +1,7 @@
 #include "support/thread_pool.h"
 
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include "fault/fault.h"
@@ -171,6 +172,28 @@ void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lk(sleep_mutex_);
   all_done_.wait(lk,
                  [this] { return unfinished_.load(std::memory_order_acquire) == 0; });
+}
+
+void run_indexed(ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t)>& task) {
+  if (pool == nullptr || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) task(i);
+    return;
+  }
+  std::vector<std::exception_ptr> errors(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pool->submit([&task, &errors, i] {
+      try {
+        task(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    });
+  }
+  pool->wait_idle();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 }  // namespace mcr

@@ -12,7 +12,7 @@
 //     need deterministic output (the SCC driver does) must write
 //     results into per-task slots and merge in a fixed order afterwards.
 //   * Exceptions must not escape a task; wrap the body and capture a
-//     std::exception_ptr per slot (see core/driver.cpp for the idiom).
+//     std::exception_ptr per slot (run_indexed below does exactly that).
 //     As a last line of defense the pool contains (swallows and counts
 //     in task_exceptions()) anything that does escape, so a buggy task
 //     degrades one result instead of std::terminate-ing the process.
@@ -116,6 +116,14 @@ class ThreadPool {
   std::atomic<std::size_t> next_worker_{0};
   std::atomic<bool> stop_{false};
 };
+
+/// Runs task(0..n) either inline (null pool or a single item) or as
+/// pool tasks, then waits for them. Exceptions are captured per slot and
+/// the lowest-index one is rethrown, so failure behaviour does not
+/// depend on thread scheduling. The caller owns the pool: sizing it,
+/// sharing it across waves, and recording its metrics once at the end.
+void run_indexed(ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t)>& task);
 
 }  // namespace mcr
 

@@ -12,8 +12,12 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 #include <utility>
+
+#include "fault/fault.h"
+#include "obs/build_info.h"
 
 namespace mcr::svc {
 
@@ -53,8 +57,14 @@ std::string window_quantile_ms_json(const obs::SlidingWindowHistogram::Snapshot&
 }
 
 FrameServer::FrameServer(FrameServerConfig config, obs::MetricsRegistry& metrics,
-                         Handler handler)
-    : config_(std::move(config)), metrics_(metrics), handler_(std::move(handler)) {}
+                         Handler handler, Finish finish)
+    : config_(std::move(config)),
+      metrics_(metrics),
+      handler_(std::move(handler)),
+      finish_(std::move(finish)) {
+  // Provenance in Prometheus form, beside STATS' "build" object.
+  obs::export_build_info(metrics_);
+}
 
 FrameServer::~FrameServer() { drain(); }
 
@@ -260,12 +270,12 @@ void FrameServer::serve_connection(Connection& conn) {
     }
     // Per-connection error isolation: nothing a single request does —
     // allocation failure included — may take down the process or any
-    // other connection. Handlers map what they can to typed error
-    // payloads; this is the last-resort belt for what they cannot
-    // (bad_alloc while *building* a response, foreign throw types).
+    // other connection. The envelope maps what it can to typed error
+    // payloads; this is the last-resort belt for what it cannot
+    // (bad_alloc while *building* an error answer, foreign throw types).
     std::string response;
     try {
-      response = handler_(payload);
+      response = answer(payload);
     } catch (...) {
       metrics_.counter("mcr_connection_errors_total").add(1);
       response = error_payload(kErrInternal, config_.internal_error_message);
@@ -276,6 +286,127 @@ void FrameServer::serve_connection(Connection& conn) {
   // after joining this thread, so the idle reaper can never shut down a
   // recycled descriptor.
   conn.done.store(true);
+}
+
+std::string FrameServer::answer(const std::string& payload) {
+  Request req{.payload = payload, .arrival = std::chrono::steady_clock::now()};
+  std::string code;
+  std::string response;
+  try {
+    // Allocation fault point: an injected kFail here behaves exactly
+    // like the first allocation of request handling failing.
+    if (MCR_FAULT_POINT(fault::Site::kAlloc).action == fault::Action::kFail) {
+      throw std::bad_alloc();
+    }
+    req.body = json::parse(payload);
+    if (!req.body.is_object()) {
+      throw RequestError(kErrBadRequest, "request payload must be a JSON object");
+    }
+    req.verb = req.body.string_or("verb", "");
+    if (std::find(kVerbs.begin(), kVerbs.end(), req.verb) == kVerbs.end()) {
+      throw RequestError(kErrBadRequest,
+                         "unknown verb '" + req.verb +
+                             "' (expected PING | LOAD | SOLVE | "
+                             "SOLVERS | STATS | HEALTH | TRACE | RELOAD)");
+    }
+    const std::string wire_id = req.body.string_or("trace_id", "");
+    // An invalid id is refused, never echoed or retained: the answer and
+    // the metrics exemplars carry a minted id instead.
+    if (!wire_id.empty() && !is_valid_trace_id(wire_id)) {
+      throw RequestError(kErrBadRequest,
+                         "invalid trace_id (expected 1..64 characters from "
+                         "[0-9a-zA-Z_-])");
+    }
+    req.client_trace_id = !wire_id.empty();
+    req.trace_id = req.client_trace_id ? wire_id : generate_trace_id();
+    req.parent_span = req.body.string_or("parent_span", "");
+    if (req.parent_span.size() > kMaxTraceIdBytes) req.parent_span.resize(kMaxTraceIdBytes);
+    response = handler_(req);
+  } catch (const RequestError& e) {
+    code = e.code;
+    response = error_payload(e.code, e.what());
+  } catch (const std::bad_alloc&) {
+    // Out-of-memory is the daemon's problem, not the request's: report
+    // INTERNAL (retryable-by-human), never BAD_REQUEST.
+    metrics_.counter("mcr_connection_errors_total").add(1);
+    code = kErrInternal;
+    response = error_payload(kErrInternal, "out of memory handling request");
+  } catch (const std::exception& e) {
+    code = kErrBadRequest;
+    response = error_payload(kErrBadRequest, e.what());
+  }
+  if (req.trace_id.empty()) req.trace_id = generate_trace_id();
+  // The id leads the answer so its *last* field stays what it was:
+  // clients cut "result", "chrome_trace" and "prometheus" by suffix. A
+  // worker answer the router passes on already leads with it.
+  const std::string lead = "{\"trace_id\":\"" + req.trace_id + '"';
+  if (response.compare(0, lead.size(), lead) != 0) {
+    response = with_trace_id(response, req.trace_id);
+  }
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - req.arrival).count();
+  if (finish_) finish_(req, code, seconds);
+  record_request(req.verb, seconds, req.trace_id);
+  return response;
+}
+
+std::string FrameServer::stats_json(const json::Value& request,
+                                    std::string_view fields) const {
+  std::string out = "{\"status\":\"ok\",\"uptime_seconds\":";
+  out += json::format_number(uptime_seconds());
+  out += ",\"build\":";
+  out += obs::build_info_json();
+  out += fields;
+  // Opt-in: the windowed view costs a merge over every ring slot of
+  // every per-verb instrument, so plain STATS callers don't pay it.
+  if (request.has("window") && request.at("window").as_bool()) {
+    out += ",\"window\":";
+    out += window_json();
+  }
+  out += ",\"metrics\":";
+  out += metrics_.json();
+  out += ",\"prometheus\":\"";
+  out += json_escape(metrics_.prometheus_text());
+  out += "\"}";
+  return out;
+}
+
+std::string FrameServer::window_json() const {
+  std::vector<std::pair<std::string_view, obs::SlidingWindowHistogram::Snapshot>> views;
+  for (std::size_t i = 0; i < instruments_.size(); ++i) {
+    // The aggregate first, then kVerbs order, then "other".
+    const std::size_t slot = (i + kAggregateSlot) % instruments_.size();
+    const Instruments& in = instruments_[slot];
+    if (!in.resolved.load(std::memory_order_acquire)) continue;
+    const std::string_view verb = slot == kAggregateSlot ? "(all)"
+                                  : slot == kOtherSlot   ? "other"
+                                                         : kVerbs[slot];
+    views.emplace_back(verb, in.window->snapshot());
+  }
+  double covered = 0.0;
+  for (const auto& [verb, snap] : views) covered = std::max(covered, snap.covered_seconds);
+  std::string out = "{\"window_seconds\":";
+  out += json::format_number(config_.stats_window_s);
+  out += ",\"covered_seconds\":" + json::format_number(covered);
+  out += ",\"verbs\":{";
+  for (const auto& [verb, snap] : views) {
+    if (out.back() != '{') out += ',';
+    out += '"';
+    out += verb;
+    out += "\":{\"count\":" + std::to_string(snap.count);
+    // All verbs share one request timeline, so every rate is computed
+    // over the window-wide covered span — a per-instrument span would
+    // report absurd rates in the instant after a verb's first request.
+    const double rps = covered > 0.0 ? static_cast<double>(snap.count) / covered : 0.0;
+    out += ",\"rps\":" + json::format_number(rps);
+    out += ",\"p50_ms\":" + window_quantile_ms_json(snap, 0.50);
+    out += ",\"p95_ms\":" + window_quantile_ms_json(snap, 0.95);
+    out += ",\"p99_ms\":" + window_quantile_ms_json(snap, 0.99);
+    out += ",\"p999_ms\":" + window_quantile_ms_json(snap, 0.999);
+    out += '}';
+  }
+  out += "}}";
+  return out;
 }
 
 void FrameServer::record_request(std::string_view verb, double seconds,
@@ -308,6 +439,7 @@ FrameServer::Instruments& FrameServer::instruments(std::size_t slot) {
     }
     in.seconds = &metrics_.histogram(name, request_seconds_bounds());
     in.window = &metrics_.windowed_histogram(name, request_seconds_bounds(), wopt);
+    in.resolved.store(true, std::memory_order_release);
   });
   return in;
 }

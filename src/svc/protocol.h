@@ -30,9 +30,9 @@
 
 namespace mcr::svc {
 
-/// The protocol's verbs. Request metrics label any other verb — missing
-/// and empty included — as "other", so no client input can grow the
-/// label set.
+/// The protocol's verbs. The request envelope refuses any other verb —
+/// missing and empty included — and request metrics label it "other",
+/// so no client input can grow the label set.
 inline constexpr std::array<std::string_view, 8> kVerbs = {
     "PING", "LOAD", "SOLVE", "SOLVERS", "STATS", "HEALTH", "TRACE", "RELOAD"};
 
@@ -101,10 +101,10 @@ enum class ReadStatus {
 // --- Trace context -------------------------------------------------------
 //
 // Requests may carry optional "trace_id" / "parent_span" fields; the
-// server generates a trace_id when the client sent none and echoes it
-// in every response (success and error alike), so one id follows the
-// request across client retries, the flight recorder, the access log,
-// and histogram exemplars.
+// request envelope both daemons share (frame_server.h) mints a trace_id
+// when the client sent none and echoes it in every response (success and
+// error alike), so one id follows the request across client retries,
+// the flight recorder, the access log, and histogram exemplars.
 
 /// Maximum accepted trace-id length on the wire.
 inline constexpr std::size_t kMaxTraceIdBytes = 64;
@@ -115,7 +115,7 @@ inline constexpr std::size_t kMaxTraceIdBytes = 64;
 [[nodiscard]] std::string generate_trace_id();
 
 /// Accepts 1..kMaxTraceIdBytes characters from [0-9a-zA-Z_-]. Anything
-/// else is rejected (the server then answers BAD_REQUEST rather than
+/// else is rejected (the envelope then answers BAD_REQUEST rather than
 /// echoing attacker-shaped bytes into logs and exports).
 [[nodiscard]] bool is_valid_trace_id(std::string_view id);
 

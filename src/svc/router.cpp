@@ -7,7 +7,6 @@
 
 #include "graph/fingerprint.h"
 #include "graph/io.h"
-#include "obs/build_info.h"
 #include "support/json.h"
 #include "support/prng.h"
 
@@ -147,14 +146,13 @@ Router::Router(RouterOptions options)
               .stats_window_slots = options_.stats_window_slots,
               .role = "router",
               .internal_error_message = "internal error routing request"},
-             metrics_, [this](const std::string& payload) { return handle_request(payload); }) {
+             metrics_, [this](FrameServer::Request& req) { return handle_request(req); }) {
   // The fleet model — backends, instruments, and the hash ring — is
   // pure computation, built here so ring/snapshot helpers answer on a
   // router that was never started (and so ring property tests need no
   // sockets). start() only binds listeners and spawns threads.
   if (options_.replicas == 0) options_.replicas = 1;
   if (options_.max_attempts < 1) options_.max_attempts = 1;
-  obs::export_build_info(metrics_);
   // Register the fleet counters eagerly so STATS/prometheus always
   // carry them (a zero is a statement; an absent series is a question).
   (void)metrics_.counter("mcr_router_failovers_total");
@@ -248,52 +246,18 @@ void Router::stop_and_drain() {
 
 // --- Router: request handling --------------------------------------------
 
-std::string Router::handle_request(const std::string& payload) {
-  const auto arrival = std::chrono::steady_clock::now();
-  std::string verb = "?";
-  std::string trace_id;
-  std::string response;
-  try {
-    const json::Value request = json::parse(payload);
-    if (!request.is_object()) {
-      throw std::invalid_argument("request payload must be a JSON object");
-    }
-    verb = request.string_or("verb", "");
-    if (verb.empty()) throw std::invalid_argument("missing \"verb\"");
-    trace_id = request.string_or("trace_id", "");
-    if (!trace_id.empty() && !is_valid_trace_id(trace_id)) {
-      throw std::invalid_argument("invalid trace_id (1-64 chars of [0-9a-zA-Z_-])");
-    }
-    const bool client_traced = !trace_id.empty();
-    if (trace_id.empty()) trace_id = generate_trace_id();
-    // Forwarded payload always carries the flight's trace id so the
-    // worker span chains under the router span.
-    const std::string forward_payload =
-        client_traced ? payload : with_trace_id(payload, trace_id);
-
-    if (verb == "HEALTH") {
-      response = handle_health();
-    } else if (verb == "STATS") {
-      response = handle_stats(request);
-    } else if (verb == "RELOAD") {
-      response = handle_reload_fanout(forward_payload);
-    } else if (verb == "LOAD") {
-      response = handle_load(request, forward_payload);
-    } else {
-      response = forward_with_failover(request, verb, forward_payload, arrival);
-    }
-  } catch (const std::exception& e) {
-    response = error_payload(kErrBadRequest, e.what());
-  }
-  if (trace_id.empty()) trace_id = generate_trace_id();
-  if (response.find("\"trace_id\"") == std::string::npos) {
-    response = with_trace_id(response, trace_id);
-  }
-  frame_.record_request(
-      verb,
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - arrival).count(),
-      trace_id);
-  return response;
+std::string Router::handle_request(FrameServer::Request& request) {
+  // Forwarded payloads always carry the flight's trace id so the worker
+  // span chains under the router span.
+  const std::string payload = request.client_trace_id
+                                  ? std::string(request.payload)
+                                  : with_trace_id(request.payload, request.trace_id);
+  const std::string& verb = request.verb;
+  if (verb == "HEALTH") return handle_health();
+  if (verb == "STATS") return handle_stats(request.body);
+  if (verb == "RELOAD") return handle_reload_fanout(payload);
+  if (verb == "LOAD") return handle_load(request.body, payload);
+  return forward_with_failover(request.body, verb, payload, request.arrival);
 }
 
 std::string Router::routing_key_for(const json::Value& request) {
@@ -372,32 +336,12 @@ std::vector<std::size_t> Router::candidate_order(const json::Value& request,
 
 // --- Router: upstream plumbing -------------------------------------------
 
-std::unique_ptr<Client> Router::pop_idle_connection(Backend& b) {
-  std::lock_guard lock(b.mutex);
-  if (b.idle.empty()) return nullptr;
-  std::unique_ptr<Client> c = std::move(b.idle.back());
-  b.idle.pop_back();
-  return c;
-}
-
-std::unique_ptr<Client> Router::dial_connection(Backend& b) {
-  try {
-    return std::make_unique<Client>(Client::connect(b.address));
-  } catch (const TransportError&) {
-    return nullptr;
-  }
-}
-
-void Router::release_connection(Backend& b, std::unique_ptr<Client> client) {
-  std::lock_guard lock(b.mutex);
-  if (b.idle.size() < options_.pool_capacity) b.idle.push_back(std::move(client));
-}
-
 Router::Forward Router::roundtrip(Backend& b, std::unique_ptr<Client> client,
                                   std::string_view payload) {
   try {
     Forward out{Forward::Status::kOk, client->request_raw(payload, options_.max_frame_bytes)};
-    release_connection(b, std::move(client));
+    std::lock_guard lock(b.mutex);
+    if (b.idle.size() < options_.pool_capacity) b.idle.push_back(std::move(client));
     return out;
   } catch (const TransportError& e) {
     // No response byte: the worker died (or closed) without answering —
@@ -415,17 +359,23 @@ Router::Forward Router::forward_once(Backend& b, std::string_view payload) {
   // the worker, so a pooled no-bytes failure retries once on a fresh
   // dial and only the fresh attempt's outcome reaches the caller (and
   // through it the breaker). Partial responses are never retried.
-  if (std::unique_ptr<Client> pooled = pop_idle_connection(b)) {
+  std::unique_ptr<Client> pooled;
+  {
+    std::lock_guard lock(b.mutex);
+    if (!b.idle.empty()) {
+      pooled = std::move(b.idle.back());
+      b.idle.pop_back();
+    }
+  }
+  if (pooled != nullptr) {
     Forward out = roundtrip(b, std::move(pooled), payload);
     if (out.status != Forward::Status::kNoBytes) return out;
   }
-  std::unique_ptr<Client> fresh = dial_connection(b);
-  if (fresh == nullptr) {
-    Forward out;
-    out.status = Forward::Status::kNoBytes;  // connect failed: nothing sent
-    return out;
+  try {
+    return roundtrip(b, std::make_unique<Client>(Client::connect(b.address)), payload);
+  } catch (const TransportError&) {
+    return {};  // connect failed: nothing sent (kNoBytes)
   }
-  return roundtrip(b, std::move(fresh), payload);
 }
 
 bool Router::backend_admit(Backend& b, bool ignore_draining) {
@@ -466,6 +416,36 @@ void Router::set_draining(Backend& b, bool draining) {
   b.draining_gauge->set(draining ? 1 : 0);
 }
 
+Router::Forward Router::attempt(Backend& b, std::string_view payload, bool ignore_draining) {
+  if (!backend_admit(b, ignore_draining)) return {Forward::Status::kRefused};
+  b.requests_total->add(1);
+  const auto t0 = std::chrono::steady_clock::now();
+  Forward fwd = forward_once(b, payload);
+  if (fwd.status != Forward::Status::kOk) {
+    record_failure(b);
+    if (fwd.status == Forward::Status::kPartial) {
+      metrics_.counter("mcr_router_partial_responses_total").add(1);
+    }
+    return fwd;
+  }
+  b.latency_window->observe(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+  // The backend answered, so its transport is healthy: a breaker success
+  // whatever the status. The error code decides failover.
+  record_success(b);
+  if (looks_like_error(fwd.response)) {
+    try {
+      fwd.code = json::parse(fwd.response).string_or("code", "");
+    } catch (const std::exception&) {
+      fwd.code.clear();
+    }
+  }
+  // Passive drain detection: stop routing new work there; the prober
+  // flips it back when the worker returns.
+  if (fwd.code == kErrShuttingDown) set_draining(b, true);
+  return fwd;
+}
+
 // --- Router: forwarding with failover ------------------------------------
 
 std::string Router::forward_with_failover(
@@ -487,55 +467,33 @@ std::string Router::forward_with_failover(
     if (std::chrono::steady_clock::now() >= deadline) {
       // The retry budget is carved from the deadline: when it is spent,
       // answer locally instead of burning a worker's time. Checked
-      // BEFORE backend_admit(): admit() may consume a half-open
+      // BEFORE attempt()'s admit: admit may consume a half-open
       // breaker's single trial slot, and an attempt abandoned here
       // would never report back, wedging the breaker half-open and the
       // backend out of rotation for good.
       return error_payload(kErrDeadline, "deadline exceeded in router");
     }
     Backend& b = *backends_[idx];
-    if (!backend_admit(b, /*ignore_draining=*/false)) continue;
-    ++attempts;
-    if (attempts > 1) metrics_.counter("mcr_router_failovers_total").add(1);
-    b.requests_total->add(1);
-    std::string attempt_payload =
-        client_has_parent
-            ? payload
-            : splice_field_front(payload, "parent_span",
-                                 "router/attempt/" + std::to_string(attempts));
-    const auto t0 = std::chrono::steady_clock::now();
-    const Forward fwd = forward_once(b, attempt_payload);
+    const Forward fwd =
+        attempt(b,
+                client_has_parent
+                    ? payload
+                    : splice_field_front(payload, "parent_span",
+                                         "router/attempt/" + std::to_string(attempts + 1)),
+                /*ignore_draining=*/false);
+    if (fwd.status == Forward::Status::kRefused) continue;
+    if (++attempts > 1) metrics_.counter("mcr_router_failovers_total").add(1);
     if (fwd.status == Forward::Status::kOk) {
-      b.latency_window->observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count());
-      // The backend answered, so its transport is healthy: a breaker
-      // success whatever the status. The error code decides failover.
-      record_success(b);
-      if (!looks_like_error(fwd.response)) return fwd.response;
-      std::string code;
-      try {
-        code = json::parse(fwd.response).string_or("code", "");
-      } catch (const std::exception&) {
-        code.clear();
-      }
-      // Passive drain detection: stop routing new work there; the
-      // prober flips it back when the worker returns.
-      if (code == kErrShuttingDown) set_draining(b, true);
-      if (!ServiceError::may_fail_over(code)) return fwd.response;
+      if (!ServiceError::may_fail_over(fwd.code)) return fwd.response;
       retryable_response = fwd.response;
-      continue;
-    }
-    if (fwd.status == Forward::Status::kPartial) {
-      record_failure(b);
-      metrics_.counter("mcr_router_partial_responses_total").add(1);
+    } else if (fwd.status == Forward::Status::kPartial) {
       return error_payload(kErrUpstream,
                            "worker " + b.address.name +
                                " response cut off mid-frame; not retried "
                                "(the request may have executed)");
     }
-    // kNoBytes: the worker never answered — hedge on the next replica.
-    record_failure(b);
+    // kNoBytes (the worker never answered) or a fail-over answer: hedge
+    // on the next replica.
   }
   if (!retryable_response.empty()) return retryable_response;
   metrics_.counter("mcr_router_no_replica_total").add(1);
@@ -563,22 +521,12 @@ std::string Router::handle_load(const json::Value& request, const std::string& p
   std::string ok_response;
   std::string error_response;
   for (const std::size_t idx : targets) {
-    Backend& b = *backends_[idx];
-    if (!backend_admit(b, /*ignore_draining=*/false)) continue;
-    b.requests_total->add(1);
-    const Forward fwd = forward_once(b, payload);
-    if (fwd.status == Forward::Status::kOk) {
-      record_success(b);
-      if (!looks_like_error(fwd.response)) {
-        if (ok_response.empty()) ok_response = fwd.response;
-      } else if (error_response.empty()) {
-        error_response = fwd.response;
-      }
-    } else {
-      record_failure(b);
-      if (fwd.status == Forward::Status::kPartial) {
-        metrics_.counter("mcr_router_partial_responses_total").add(1);
-      }
+    const Forward fwd = attempt(*backends_[idx], payload, /*ignore_draining=*/false);
+    if (fwd.status != Forward::Status::kOk) continue;
+    if (!looks_like_error(fwd.response)) {
+      if (ok_response.empty()) ok_response = fwd.response;
+    } else if (error_response.empty()) {
+      error_response = fwd.response;
     }
   }
   if (!ok_response.empty()) return ok_response;
@@ -597,14 +545,12 @@ std::string Router::handle_reload_fanout(const std::string& payload) {
   bool first = true;
   for (const auto& bp : backends_) {
     Backend& b = *bp;
-    if (!backend_admit(b, /*ignore_draining=*/false)) continue;
-    b.requests_total->add(1);
-    const Forward fwd = forward_once(b, payload);
+    const Forward fwd = attempt(b, payload, /*ignore_draining=*/false);
+    if (fwd.status == Forward::Status::kRefused) continue;
     if (!first) workers << ',';
     first = false;
     workers << '"' << json_escape(b.address.name) << "\":";
     if (fwd.status == Forward::Status::kOk) {
-      record_success(b);
       if (looks_like_error(fwd.response)) {
         ++failed;
       } else {
@@ -612,7 +558,6 @@ std::string Router::handle_reload_fanout(const std::string& payload) {
       }
       workers << fwd.response;
     } else {
-      record_failure(b);
       ++failed;
       workers << error_payload(kErrUpstream, "transport error during RELOAD");
     }
@@ -633,8 +578,7 @@ std::string Router::handle_reload_fanout(const std::string& payload) {
 
 std::string Router::handle_stats(const json::Value& request) {
   std::ostringstream os;
-  os << "{\"status\":\"ok\",\"service\":\"mcr_router\",\"uptime_seconds\":"
-     << json::format_number(frame_.uptime_seconds()) << ",\"replicas\":"
+  os << ",\"service\":\"mcr_router\",\"replicas\":"
      << std::min(options_.replicas, backends_.size())
      << ",\"window_seconds\":" << json::format_number(options_.stats_window_s)
      << ",\"backends\":[";
@@ -671,32 +615,23 @@ std::string Router::handle_stats(const json::Value& request) {
   if (fanout) {
     os << ",\"workers\":{";
     bool first = true;
-    const std::string stats_payload = "{\"verb\":\"STATS\"}";
     for (const auto& bp : backends_) {
       Backend& b = *bp;
       if (!first) os << ',';
       first = false;
       os << '"' << json_escape(b.address.name) << "\":";
-      if (!backend_admit(b, /*ignore_draining=*/true)) {
-        os << error_payload(kErrUpstream, "breaker open");
-        continue;
-      }
-      const Forward fwd = forward_once(b, stats_payload);
+      const Forward fwd = attempt(b, "{\"verb\":\"STATS\"}", /*ignore_draining=*/true);
       if (fwd.status == Forward::Status::kOk) {
-        record_success(b);
         os << fwd.response;
+      } else if (fwd.status == Forward::Status::kRefused) {
+        os << error_payload(kErrUpstream, "breaker open");
       } else {
-        record_failure(b);
         os << error_payload(kErrUpstream, "transport error during STATS fan-out");
       }
     }
     os << '}';
   }
-  // "prometheus" stays the last field: clients cut it out by suffix,
-  // exactly as with the worker's own STATS.
-  os << ",\"metrics\":" << metrics_.json() << ",\"prometheus\":\""
-     << json_escape(metrics_.prometheus_text()) << "\"}";
-  return os.str();
+  return frame_.stats_json(request, os.str());
 }
 
 std::string Router::handle_health() {
@@ -722,15 +657,12 @@ std::string Router::handle_health() {
 
 void Router::probe_backend(Backend& b) {
   metrics_.counter("mcr_router_probes_total").add(1);
-  {
-    // Respect the breaker cooldown: a freshly-opened breaker silences
-    // probes too, so a flapping worker is not hammered. admit() flips
-    // open -> half-open once the (jittered) cooldown expires; the probe
-    // is then the trial request.
-    std::lock_guard lock(b.mutex);
-    if (!b.breaker.admit(std::chrono::steady_clock::now())) return;
-    b.breaker_gauge->set(breaker_state_code(b.breaker.state()));
-  }
+  // Respect the breaker cooldown: a freshly-opened breaker silences
+  // probes too, so a flapping worker is not hammered. admit() flips
+  // open -> half-open once the (jittered) cooldown expires; the probe is
+  // then the trial request. A draining worker is probed all the same:
+  // the probe is how it comes back.
+  if (!backend_admit(b, /*ignore_draining=*/true)) return;
   const Forward fwd = forward_once(b, "{\"verb\":\"HEALTH\"}");
   if (fwd.status != Forward::Status::kOk) {
     metrics_.counter("mcr_router_probe_failures_total").add(1);

@@ -39,16 +39,21 @@
 //    and decides. The rules are tabulated in docs/ROBUSTNESS.md.
 //
 // Upstream connections are svc::Clients: dialed with Client::connect,
-// one request_raw per attempt, pooled per backend.
+// one request_raw per attempt, pooled per backend. Every forwarded
+// request — failover, LOAD/RELOAD/STATS fan-out — goes through one
+// attempt(), which keeps the breaker, per-backend instruments and
+// passive drain detection; only the prober dials on its own.
 //
-// Listeners, client connections and the request latency metrics
-// belong to the svc::FrameServer underneath (frame_server.h), the same
-// code mcr_serve runs; the Router is its request handler.
+// Listeners, client connections, the request envelope (payload and verb
+// checks, trace ids, error answers), the STATS frame with its windowed
+// per-verb view, and the request latency metrics belong to the
+// svc::FrameServer underneath (frame_server.h), the same code mcr_serve
+// runs; the Router is its verb handler.
 //
-// Trace context: the router mints a trace_id when the client sent
-// none and splices "parent_span":"router/attempt/<k>" so the worker's
-// span is parented by the router's — one id follows the request
-// through both tiers.
+// Trace context: the envelope checks the client's trace_id or mints
+// one; the router forwards it and splices
+// "parent_span":"router/attempt/<k>" so the worker's span is parented
+// by the router's — one id follows the request through both tiers.
 #ifndef MCR_SVC_ROUTER_H
 #define MCR_SVC_ROUTER_H
 
@@ -214,18 +219,21 @@ class Router {
     obs::SlidingWindowHistogram* latency_window = nullptr;
   };
 
-  /// Outcome of one upstream round trip.
+  /// Outcome of one upstream attempt.
   struct Forward {
     enum class Status {
       kOk,         // one whole response frame in `response`
       kNoBytes,    // transport failed before any response byte (hedgeable)
       kPartial,    // response cut off mid-frame (NEVER hedged)
+      kRefused,    // not sent: breaker open, or the backend is draining
     };
     Status status = Status::kNoBytes;
-    std::string response;
+    std::string response{};
+    std::string code{};  // attempt(): the answer's error code, "" when ok
   };
 
-  [[nodiscard]] std::string handle_request(const std::string& payload);
+  /// The verb switch under the FrameServer's envelope.
+  [[nodiscard]] std::string handle_request(FrameServer::Request& request);
   [[nodiscard]] std::string forward_with_failover(
       const json::Value& request, const std::string& verb,
       const std::string& payload, std::chrono::steady_clock::time_point arrival);
@@ -235,7 +243,12 @@ class Router {
   [[nodiscard]] std::string handle_stats(const json::Value& request);
   [[nodiscard]] std::string handle_health();
 
-  /// One attempt against a backend. A pooled connection that fails
+  /// One upstream attempt with all its bookkeeping: breaker admit
+  /// (kRefused when refused), requests_total, forward_once, the latency
+  /// window, breaker success or failure, the partial-response counter,
+  /// and marking the backend draining on a SHUTTING_DOWN answer.
+  [[nodiscard]] Forward attempt(Backend& b, std::string_view payload, bool ignore_draining);
+  /// One round trip against a backend. A pooled connection that fails
   /// before any response byte is assumed stale and the request is
   /// retried once on a freshly dialed connection; only a fresh-dial
   /// failure is reported (a worker restart must not trip the breaker
@@ -246,11 +259,6 @@ class Router {
   /// success, dropped otherwise.
   [[nodiscard]] Forward roundtrip(Backend& b, std::unique_ptr<Client> client,
                                   std::string_view payload);
-  /// Pops an idle pooled connection; null when the pool is empty.
-  [[nodiscard]] std::unique_ptr<Client> pop_idle_connection(Backend& b);
-  /// Dials a new connection; null on connect failure.
-  [[nodiscard]] std::unique_ptr<Client> dial_connection(Backend& b);
-  void release_connection(Backend& b, std::unique_ptr<Client> client);
 
   /// Breaker/gauge bookkeeping around one attempt.
   [[nodiscard]] bool backend_admit(Backend& b, bool ignore_draining);

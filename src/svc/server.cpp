@@ -1,9 +1,9 @@
 #include "svc/server.h"
 
 #include <algorithm>
+#include <any>
 #include <chrono>
 #include <cmath>
-#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -14,7 +14,6 @@
 #include "fault/fault.h"
 #include "gen/spec.h"
 #include "graph/io.h"
-#include "obs/build_info.h"
 #include "store/format.h"
 #include "support/json.h"
 #include "support/stats.h"
@@ -23,13 +22,6 @@
 namespace mcr::svc {
 
 namespace {
-
-/// Client-facing request error carrying a protocol error code.
-struct RequestError : std::runtime_error {
-  RequestError(std::string code_, const std::string& message)
-      : std::runtime_error(message), code(std::move(code_)) {}
-  std::string code;
-};
 
 struct Objective {
   bool maximize = false;
@@ -61,7 +53,10 @@ Server::Server(ServerOptions options)
               .idle_timeout_ms = options_.idle_timeout_ms,
               .stats_window_s = options_.stats_window_s,
               .stats_window_slots = options_.stats_window_slots},
-             metrics_, [this](const std::string& payload) { return handle_request(payload); }) {
+             metrics_, [this](FrameServer::Request& req) { return handle_request(req); },
+             [this](const FrameServer::Request& req, std::string_view code, double seconds) {
+               finish_request(req, code, seconds);
+             }) {
   if (!options_.request_log_path.empty()) {
     request_log_ = std::make_unique<RequestLog>(options_.request_log_path);
     if (!request_log_->ok()) {
@@ -75,7 +70,6 @@ Server::~Server() { stop_and_drain(); }
 
 void Server::start() {
   if (running_.load()) throw std::runtime_error("Server::start: already running");
-  obs::export_build_info(metrics_);
 
   // Everything that can fail on configuration runs before any listener
   // exists. A server configured with a bad pack should fail to start,
@@ -168,108 +162,50 @@ std::shared_ptr<const store::Dataset> Server::reload_dataset() {
   return attach_dataset(cur->path);
 }
 
-std::string Server::handle_request(const std::string& payload) {
-  Timer timer;
-  RequestContext ctx;
-  std::string response;
-  try {
-    // Allocation fault point: an injected kFail here behaves exactly
-    // like the first allocation of request handling failing.
-    if (MCR_FAULT_POINT(fault::Site::kAlloc).action == fault::Action::kFail) {
-      throw std::bad_alloc();
-    }
-    const json::Value req = json::parse(payload);
-    ctx.verb = req.string_or("verb", "");
-    const std::string wire_id = req.string_or("trace_id", "");
-    ctx.parent_span = req.string_or("parent_span", "");
-    if (ctx.parent_span.size() > kMaxTraceIdBytes) {
-      ctx.parent_span.resize(kMaxTraceIdBytes);
-    }
-    if (!wire_id.empty() && !is_valid_trace_id(wire_id)) {
-      throw RequestError(kErrBadRequest,
-                         "invalid trace_id (expected 1..64 characters from "
-                         "[0-9a-zA-Z_-])");
-    }
-    ctx.trace_id = wire_id.empty() ? generate_trace_id() : wire_id;
-    ctx.trace = flight_.begin(ctx.trace_id, ctx.verb, ctx.parent_span);
-    // Every span this thread emits goes to both the legacy process-wide
-    // sink (--trace FILE) and this request's flight-recorder trace.
-    obs::TeeSink tee(options_.trace, ctx.trace.get());
-    const obs::SinkScope sink_scope(tee.effective());
-    const obs::Span span(obs::EventKind::kRequest, ctx.verb);
-    if (ctx.verb == "PING") {
-      response = "{\"status\":\"ok\",\"service\":\"mcr\"}";
-    } else if (ctx.verb == "LOAD") {
-      response = handle_load(req, ctx);
-    } else if (ctx.verb == "SOLVE") {
-      response = handle_solve(req, ctx);
-    } else if (ctx.verb == "SOLVERS") {
-      response = handle_solvers();
-    } else if (ctx.verb == "STATS") {
-      response = handle_stats(req);
-    } else if (ctx.verb == "HEALTH") {
-      response = handle_health();
-    } else if (ctx.verb == "TRACE") {
-      response = handle_trace(req);
-    } else if (ctx.verb == "RELOAD") {
-      response = handle_reload(req, ctx);
-    } else {
-      throw RequestError(kErrBadRequest,
-                         "unknown verb '" + ctx.verb +
-                             "' (expected PING | LOAD | SOLVE | "
-                             "SOLVERS | STATS | HEALTH | TRACE | RELOAD)");
-    }
-  } catch (const RequestError& e) {
-    ctx.error_code = e.code;
-    response = error_payload(e.code, e.what());
-  } catch (const std::bad_alloc&) {
-    // Out-of-memory is the server's problem, not the request's: report
-    // INTERNAL (retryable-by-human), never BAD_REQUEST.
-    metrics_.counter("mcr_connection_errors_total").add(1);
-    ctx.error_code = kErrInternal;
-    response = error_payload(kErrInternal, "out of memory handling request");
-  } catch (const std::exception& e) {
-    ctx.error_code = kErrBadRequest;
-    response = error_payload(kErrBadRequest, e.what());
-  }
-  // Echo (or mint, when the request never parsed) the trace id on every
-  // response, error payloads included. Spliced at the front so the
-  // response object's *last* field stays what it was — callers extract
-  // "result" by suffix.
-  if (ctx.trace_id.empty()) ctx.trace_id = generate_trace_id();
-  response = with_trace_id(response, ctx.trace_id);
-  finish_request(ctx, timer.millis());
-  return response;
+std::string Server::handle_request(FrameServer::Request& request) {
+  RequestContext& ctx = request.context.emplace<RequestContext>();
+  ctx.trace = flight_.begin(request.trace_id, request.verb, request.parent_span);
+  // Every span this thread emits goes to both the legacy process-wide
+  // sink (--trace FILE) and this request's flight-recorder trace.
+  obs::TeeSink tee(options_.trace, ctx.trace.get());
+  const obs::SinkScope sink_scope(tee.effective());
+  const obs::Span span(obs::EventKind::kRequest, request.verb);
+  const json::Value& req = request.body;
+  const std::string& verb = request.verb;
+  if (verb == "PING") return "{\"status\":\"ok\",\"service\":\"mcr\"}";
+  if (verb == "LOAD") return handle_load(req, ctx);
+  if (verb == "SOLVE") return handle_solve(req, ctx);
+  if (verb == "SOLVERS") return handle_solvers();
+  if (verb == "STATS") return handle_stats(req);
+  if (verb == "HEALTH") return handle_health();
+  if (verb == "TRACE") return handle_trace(req);
+  return handle_reload(req, ctx);  // RELOAD: the envelope admits kVerbs only
 }
 
-void Server::finish_request(RequestContext& ctx, double total_ms) {
-  if (ctx.trace != nullptr) {
+void Server::finish_request(const FrameServer::Request& request, std::string_view code,
+                            double seconds) {
+  const double total_ms = seconds * 1000.0;
+  // Null when the envelope refused the request before handle_request ran.
+  const auto* ctx = std::any_cast<RequestContext>(&request.context);
+  if (ctx != nullptr && ctx->trace != nullptr) {
     const auto note = [&](const char* key, const std::string& value) {
-      if (!value.empty()) ctx.trace->note(key, value);
+      if (!value.empty()) ctx->trace->note(key, value);
     };
-    note("fingerprint", ctx.fingerprint);
-    note("algo", ctx.algo);
-    note("objective", ctx.objective);
-    note("cache", ctx.cache);
-    flight_.finish(ctx.trace, ctx.error_code, total_ms);
+    note("fingerprint", ctx->log.fingerprint);
+    note("algo", ctx->log.algo);
+    note("objective", ctx->log.objective);
+    note("cache", ctx->log.cache);
+    flight_.finish(ctx->trace, code, total_ms);
   }
   if (request_log_ != nullptr) {
-    RequestLog::Entry entry;
+    RequestLog::Entry entry = ctx != nullptr ? ctx->log : RequestLog::Entry{};
     entry.ts_ms = flight_.now_us() / 1000.0;
-    entry.trace_id = ctx.trace_id;
-    entry.verb = ctx.verb;
-    entry.fingerprint = ctx.fingerprint;
-    entry.algo = ctx.algo;
-    entry.objective = ctx.objective;
-    entry.cache = ctx.cache;
-    entry.queue_ms = ctx.queue_ms;
-    entry.solve_ms = ctx.solve_ms;
-    entry.deadline_ms = ctx.deadline_ms;
-    entry.code = ctx.error_code;
+    entry.trace_id = request.trace_id;
+    entry.verb = request.verb;
+    entry.code = code;
     entry.total_ms = total_ms;
     request_log_->write(entry);
   }
-  frame_.record_request(ctx.verb, total_ms / 1000.0, ctx.trace_id);
 }
 
 std::string Server::handle_trace(const json::Value& req) const {
@@ -314,7 +250,7 @@ std::string Server::handle_reload(const json::Value& req, RequestContext& ctx) {
     throw RequestError(kErrBadRequest,
                        std::string("cannot attach dataset: ") + e.what());
   }
-  ctx.fingerprint = ds->fingerprint;
+  ctx.log.fingerprint = ds->fingerprint;
   std::string out = "{\"status\":\"ok\",\"path\":\"" + json_escape(ds->path) +
                     "\",\"fingerprint\":\"" + ds->fingerprint +
                     "\",\"generation\":" + std::to_string(ds->generation) +
@@ -379,7 +315,7 @@ std::pair<std::shared_ptr<const Graph>, std::string> Server::resolve_graph(
 
 std::string Server::handle_load(const json::Value& req, RequestContext& ctx) {
   const auto [graph, fp] = resolve_graph(req);
-  ctx.fingerprint = fp;
+  ctx.log.fingerprint = fp;
   std::ostringstream os;
   os << "{\"status\":\"ok\",\"fingerprint\":\"" << fp
      << "\",\"nodes\":" << graph->num_nodes() << ",\"arcs\":" << graph->num_arcs()
@@ -406,77 +342,14 @@ std::string Server::handle_solvers() const {
 }
 
 std::string Server::handle_stats(const json::Value& req) const {
-  std::string out = "{\"status\":\"ok\",\"uptime_seconds\":";
-  out += json::format_number(frame_.uptime_seconds());
-  out += ",\"build\":";
-  out += obs::build_info_json();
+  std::string dataset;
   if (const auto ds = dataset_.current(); ds != nullptr) {
-    out += ",\"dataset\":{\"path\":\"" + json_escape(ds->path) +
-           "\",\"fingerprint\":\"" + ds->fingerprint +
-           "\",\"generation\":" + std::to_string(ds->generation) +
-           ",\"bytes\":" + std::to_string(ds->bytes) + "}";
+    dataset = ",\"dataset\":{\"path\":\"" + json_escape(ds->path) +
+              "\",\"fingerprint\":\"" + ds->fingerprint +
+              "\",\"generation\":" + std::to_string(ds->generation) +
+              ",\"bytes\":" + std::to_string(ds->bytes) + "}";
   }
-  // Opt-in: the windowed view costs a merge over every ring slot of
-  // every per-verb instrument, so plain STATS callers don't pay it.
-  if (req.has("window") && req.at("window").as_bool()) {
-    out += ",\"window\":";
-    out += window_json();
-  }
-  out += ",\"metrics\":";
-  out += metrics_.json();
-  // "prometheus" must stay the LAST field: clients cut the escaped text
-  // out of the response by suffix (see docs/SERVICE.md).
-  out += ",\"prometheus\":\"";
-  out += json_escape(metrics_.prometheus_text());
-  out += "\"}";
-  return out;
-}
-
-std::string Server::window_json() const {
-  const auto snapshots = metrics_.windowed_snapshots();
-  std::string out = "{\"window_seconds\":";
-  out += json::format_number(options_.stats_window_s);
-  double covered = 0.0;
-  for (const auto& [name, snap] : snapshots) {
-    covered = std::max(covered, snap.covered_seconds);
-  }
-  out += ",\"covered_seconds\":" + json::format_number(covered);
-  out += ",\"verbs\":{";
-  bool first = true;
-  for (const auto& [name, snap] : snapshots) {
-    // Keys are the windowed mcr_request_seconds family: the bare name is
-    // the all-verbs aggregate; labeled variants carry verb="X".
-    static constexpr std::string_view kBase = "mcr_request_seconds";
-    static constexpr std::string_view kVerbPrefix =
-        "mcr_request_seconds{verb=\"";
-    std::string verb;
-    if (name == kBase) {
-      verb = "(all)";
-    } else if (name.rfind(kVerbPrefix, 0) == 0 && name.size() > kVerbPrefix.size() + 2) {
-      verb = name.substr(kVerbPrefix.size(),
-                         name.size() - kVerbPrefix.size() - 2);
-    } else {
-      continue;  // foreign windowed instrument; not part of this view
-    }
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += json_escape(verb);  // a label value; keep the JSON valid whatever it holds
-    out += "\":{\"count\":" + std::to_string(snap.count);
-    // All verbs share one request timeline, so every rate is computed
-    // over the window-wide covered span — a per-instrument span would
-    // report absurd rates in the instant after a verb's first request.
-    const double rps =
-        covered > 0.0 ? static_cast<double>(snap.count) / covered : 0.0;
-    out += ",\"rps\":" + json::format_number(rps);
-    out += ",\"p50_ms\":" + window_quantile_ms_json(snap, 0.50);
-    out += ",\"p95_ms\":" + window_quantile_ms_json(snap, 0.95);
-    out += ",\"p99_ms\":" + window_quantile_ms_json(snap, 0.99);
-    out += ",\"p999_ms\":" + window_quantile_ms_json(snap, 0.999);
-    out += '}';
-  }
-  out += "}}";
-  return out;
+  return frame_.stats_json(req, dataset);
 }
 
 std::string Server::handle_health() {
@@ -516,7 +389,7 @@ std::string Server::telemetry_snapshot_json() {
   std::string out = "{\"ts_ms\":" + std::to_string(ts_ms);
   out += ",\"uptime_seconds\":" + json::format_number(frame_.uptime_seconds());
   out += ",\"window\":";
-  out += window_json();
+  out += frame_.window_json();
   out += ",\"gauges\":{";
   bool first = true;
   for (const auto& [name, value] : metrics_.gauge_values()) {
@@ -569,9 +442,9 @@ std::string Server::handle_solve(const json::Value& req, RequestContext& ctx) {
   const Objective objective = parse_objective(req.string_or("objective", "min_mean"));
   const std::string algo =
       req.string_or("algo", objective.ratio ? "howard_ratio" : "howard");
-  ctx.fingerprint = fp;
-  ctx.algo = algo;
-  ctx.objective = objective.name;
+  ctx.log.fingerprint = fp;
+  ctx.log.algo = algo;
+  ctx.log.objective = objective.name;
   const SolverRegistry& reg = SolverRegistry::instance();
   bool solver_is_ratio = false;
   try {
@@ -597,23 +470,18 @@ std::string Server::handle_solve(const json::Value& req, RequestContext& ctx) {
     out += "}";
     return out;
   };
-  const auto respond_error = [&](const std::string& code,
-                                 const std::string& message) {
-    ctx.error_code = code;
-    return error_payload(code, message);
-  };
   if (outcome.role == ResultCache::Role::kHit) {
-    ctx.cache = "hit";
+    ctx.log.cache = "hit";
     return respond_ok(outcome.result, outcome.solve_ms, true);
   }
   if (outcome.role == ResultCache::Role::kJoined) {
-    ctx.cache = "join";
+    ctx.log.cache = "join";
     if (!outcome.error_code.empty()) {
-      return respond_error(outcome.error_code, outcome.error_message);
+      throw RequestError(outcome.error_code, outcome.error_message);
     }
     return respond_ok(outcome.result, outcome.solve_ms, true);
   }
-  ctx.cache = "miss";
+  ctx.log.cache = "miss";
 
   // Flight leader: admission against the bounded queue.
   auto job = std::make_shared<SolveJob>();
@@ -624,7 +492,7 @@ std::string Server::handle_solve(const json::Value& req, RequestContext& ctx) {
   job->trace = ctx.trace;
   const double deadline_ms = req.number_or("deadline_ms", 0.0);
   if (deadline_ms > 0.0) {
-    ctx.deadline_ms = deadline_ms;
+    ctx.log.deadline_ms = deadline_ms;
     // Capped at ~31 years so the microsecond count stays far inside
     // int64 and the steady clock's range.
     job->deadline = std::chrono::steady_clock::now() +
@@ -643,7 +511,7 @@ std::string Server::handle_solve(const json::Value& req, RequestContext& ctx) {
     std::lock_guard lock(queue_mutex_);
     if (stopping_) {
       cache_.fail(key, kErrShuttingDown, "server is draining");
-      return respond_error(kErrShuttingDown, "server is draining");
+      throw RequestError(kErrShuttingDown, "server is draining");
     }
     if (in_flight_ >= options_.queue_capacity) {
       metrics_.counter("mcr_rejected_total").add(1);
@@ -651,7 +519,7 @@ std::string Server::handle_solve(const json::Value& req, RequestContext& ctx) {
           "solve queue is full (capacity " +
           std::to_string(options_.queue_capacity) + "); retry later";
       cache_.fail(key, kErrBusy, msg);
-      return respond_error(kErrBusy, msg);
+      throw RequestError(kErrBusy, msg);
     }
     ++in_flight_;
     queue_.push_back(job);
@@ -667,11 +535,11 @@ std::string Server::handle_solve(const json::Value& req, RequestContext& ctx) {
 
   // The dispatcher completes the flight; wait on it like any joiner.
   cache_.wait(outcome);
-  ctx.queue_ms = job->queue_wait_ms;
+  ctx.log.queue_ms = job->queue_wait_ms;
   if (!outcome.error_code.empty()) {
-    return respond_error(outcome.error_code, outcome.error_message);
+    throw RequestError(outcome.error_code, outcome.error_message);
   }
-  ctx.solve_ms = outcome.solve_ms;
+  ctx.log.solve_ms = outcome.solve_ms;
   return respond_ok(outcome.result, outcome.solve_ms, false);
 }
 

@@ -25,9 +25,12 @@
 // a job past it at dispatch is answered without solving, and the driver
 // checks it at every phase boundary.
 //
-// Listeners, connection threads, frame errors, drain and the request
-// latency metrics belong to the svc::FrameServer underneath
-// (frame_server.h); the Server is its request handler.
+// Listeners, connection threads, frame errors, drain, the request
+// envelope (payload and verb checks, trace ids, error answers), the STATS
+// frame with its windowed per-verb view, and the request latency metrics
+// belong to the svc::FrameServer underneath (frame_server.h); the Server
+// is its verb handler and finish hook, feeding the flight recorder and
+// the request log.
 //
 // Shutdown (stop_and_drain, wired to SIGTERM in mcr_serve): stop
 // accepting, half-close existing connections so no new requests enter,
@@ -48,6 +51,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -194,22 +198,12 @@ class Server {
   [[nodiscard]] std::string telemetry_snapshot_json();
 
  private:
-  /// Everything one request accumulates for the flight recorder, the
-  /// access log, and the per-verb latency metrics. Lives on the
-  /// connection thread's stack for the request's duration.
+  /// What one request accumulates for the flight recorder and the
+  /// access log; the FrameServer::Request's context. The verb handlers
+  /// fill `log`'s request-specific fields, finish_request the rest.
   struct RequestContext {
-    std::string trace_id;
-    std::string parent_span;
-    std::string verb = "INVALID";
     std::shared_ptr<obs::RequestTrace> trace;
-    std::string fingerprint;
-    std::string algo;
-    std::string objective;
-    std::string cache;  // "hit" | "miss" | "join" | ""
-    double queue_ms = -1.0;
-    double solve_ms = -1.0;
-    double deadline_ms = -1.0;
-    std::string error_code;  // protocol code; "" = ok
+    RequestLog::Entry log;
   };
   /// One admitted SOLVE: queued, then owned by the dispatcher until it
   /// completes the cache flight for `key` (the leader waits there, not
@@ -239,7 +233,8 @@ class Server {
   void dispatch_loop();
   void stats_loop();
 
-  [[nodiscard]] std::string handle_request(const std::string& payload);
+  /// The verb switch under the FrameServer's envelope.
+  [[nodiscard]] std::string handle_request(FrameServer::Request& request);
   [[nodiscard]] std::string handle_load(const json::Value& req,
                                         RequestContext& ctx);
   [[nodiscard]] std::string handle_solve(const json::Value& req,
@@ -251,15 +246,10 @@ class Server {
   [[nodiscard]] std::string handle_reload(const json::Value& req,
                                           RequestContext& ctx);
 
-  /// `{"window_seconds":..,"verbs":{"(all)":{..},"SOLVE":{..}}}` —
-  /// windowed per-verb count/rps/percentiles, shared by STATS
-  /// {"window":true} and the stats pump.
-  [[nodiscard]] std::string window_json() const;
-
-  /// Tail of handle_request: finishes the flight-recorder trace, writes
-  /// the access-log line, and records the request latency with the
-  /// FrameServer.
-  void finish_request(RequestContext& ctx, double total_ms);
+  /// The FrameServer's finish hook: finishes the flight-recorder trace
+  /// and writes the access-log line.
+  void finish_request(const FrameServer::Request& request, std::string_view code,
+                      double seconds);
 
   /// Parses the request's graph source ("fingerprint" | "dimacs" |
   /// "path" | "generator") and returns (resident graph, fingerprint).

@@ -465,6 +465,20 @@ TEST(RouterFleet, StatsReportsBackendsAndFanoutEmbedsWorkerStats) {
   for (const auto& [name, worker_stats] : fanout.at("workers").as_object()) {
     EXPECT_EQ(worker_stats.string_or("status", ""), "ok") << name;
   }
+
+  // Answers the router builds itself lead with the trace id like every
+  // other answer, fan-outs included, whose embedded worker answers carry
+  // ids of their own.
+  for (const char* request : {R"({"verb":"STATS"})", R"({"verb":"STATS","fanout":true})",
+                              R"({"verb":"RELOAD"})"}) {
+    EXPECT_EQ(client.request_raw(request).rfind("{\"trace_id\":\"", 0), 0u) << request;
+  }
+  // The STATS frame is the worker's: build provenance, and the windowed
+  // per-verb view `mcr_query top` reads.
+  EXPECT_TRUE(stats.has("build"));
+  const json::Value windowed = client.stats(/*window=*/true);
+  ASSERT_TRUE(windowed.has("window"));
+  EXPECT_TRUE(windowed.at("window").at("verbs").has("STATS"));
 }
 
 TEST(RouterFleet, HealthSummarizesTheFleetAndTracksProbes) {
@@ -615,7 +629,7 @@ TEST(RouterFleet, WorkerInternalErrorIsReturnedVerbatimWithoutFailover) {
       fc.unix_socket_path = unique_socket_path();
       paths.push_back(fc.unix_socket_path);
       workers.push_back(std::make_unique<svc::FrameServer>(
-          fc, worker_metrics, [&](const std::string&) {
+          fc, worker_metrics, [&](svc::FrameServer::Request&) {
             served.fetch_add(1);
             return answer;
           }));
@@ -642,6 +656,51 @@ TEST(RouterFleet, WorkerInternalErrorIsReturnedVerbatimWithoutFailover) {
     }
     router.stop_and_drain();
   }
+}
+
+TEST(RouterFleet, EveryForwardedAttemptKeepsTheBackendBooks) {
+  // FLEET.md's passive drain rule holds for any forwarded request, not
+  // only SOLVE failover: both replicas answering a LOAD with
+  // SHUTTING_DOWN end up draining. A STATS fan-out is an attempt like any
+  // other, so it adds one to each backend's requests. The workers are
+  // bare FrameServers that answer STATS ok and everything else
+  // SHUTTING_DOWN.
+  obs::MetricsRegistry worker_metrics;
+  std::vector<std::unique_ptr<svc::FrameServer>> workers;
+  std::vector<std::string> paths;
+  for (int i = 0; i < 2; ++i) {
+    svc::FrameServerConfig fc;
+    fc.unix_socket_path = unique_socket_path();
+    paths.push_back(fc.unix_socket_path);
+    workers.push_back(std::make_unique<svc::FrameServer>(
+        fc, worker_metrics, [](svc::FrameServer::Request& request) {
+          return request.verb == "STATS"
+                     ? std::string(R"({"status":"ok"})")
+                     : svc::error_payload(svc::kErrShuttingDown, "worker is draining");
+        }));
+    workers.back()->start();
+  }
+  svc::RouterOptions ro = two_replica_router(paths[0], paths[1]);
+  const std::string router_path = ro.unix_socket_path;
+  svc::Router router(std::move(ro));
+  router.start();
+  svc::Client client = svc::Client::connect_unix(router_path);
+
+  const json::Value load =
+      client.request(R"({"verb":"LOAD","generator":{"family":"sprand","n":8,"m":16}})");
+  EXPECT_EQ(load.string_or("code", ""), svc::kErrShuttingDown);
+  for (const auto& snap : router.backend_snapshots()) {
+    EXPECT_TRUE(snap.draining) << snap.name;
+    EXPECT_EQ(snap.requests, 1u) << snap.name;
+  }
+
+  const json::Value stats = client.request(R"({"verb":"STATS","fanout":true})");
+  ASSERT_EQ(stats.string_or("status", ""), "ok");
+  for (const auto& snap : router.backend_snapshots()) {
+    EXPECT_EQ(snap.requests, 2u) << snap.name;
+    EXPECT_EQ(snap.failures, 0u) << snap.name;
+  }
+  router.stop_and_drain();
 }
 
 /// A raw-socket worker that reads one request frame per connection,

@@ -1051,8 +1051,9 @@ std::set<std::string> verb_labels(const obs::MetricsRegistry& metrics) {
 }
 
 /// Client-chosen verbs must not grow the metric label set: 50 distinct
-/// junk verbs, a missing verb and an empty one add at most the single
-/// verb="other" family.
+/// junk verbs, a missing verb, an empty one and a payload that is no
+/// object at all are refused and add at most the single verb="other"
+/// family.
 void expect_junk_verbs_add_at_most_one_label(svc::Client& client,
                                              const obs::MetricsRegistry& metrics) {
   ASSERT_TRUE(client.ping());  // materialize the families every request touches
@@ -1066,6 +1067,9 @@ void expect_junk_verbs_add_at_most_one_label(svc::Client& client,
   }
   EXPECT_EQ(client.request(R"({"graph":"no verb"})").string_or("code", ""), "BAD_REQUEST");
   EXPECT_EQ(client.request(R"({"verb":""})").string_or("code", ""), "BAD_REQUEST");
+  const json::Value not_object = client.request("[1,2]");
+  EXPECT_EQ(not_object.string_or("code", ""), "BAD_REQUEST");
+  EXPECT_EQ(not_object.string_or("message", ""), "request payload must be a JSON object");
 
   EXPECT_LE(metrics.counter_values().size(), counters_before + 1);
   EXPECT_LE(metrics.windowed_snapshots().size(), windowed_before + 1);
@@ -1132,14 +1136,11 @@ TEST(TraceContext, WithTraceIdSplicesAtTheFront) {
   EXPECT_EQ(svc::with_trace_id("{}", "t2"), "{\"trace_id\":\"t2\"}");
 }
 
-TEST(SvcTrace, ServerEchoesMintsAndRejectsWireTraceIds) {
-  svc::ServerOptions so;
-  so.unix_socket_path = unique_socket_path();
-  so.flight.slow_ms = 0.0;  // pin everything
-  svc::Server server(so);
-  server.start();
-  svc::Client client = svc::Client::connect_unix(so.unix_socket_path);
-
+/// The envelope's trace-id rules, the same on both daemons: a client id
+/// is echoed at the front of the answer, a missing one minted, and an
+/// invalid one — however long — refused with a minted id, never echoed
+/// or kept as a histogram exemplar.
+void expect_trace_ids_echoed_minted_and_rejected(svc::Client& client) {
   // Caller-supplied id: echoed verbatim, spliced at the response front.
   const std::string echoed = client.request_raw(
       R"({"verb":"PING","trace_id":"caller-id-1"})");
@@ -1159,8 +1160,51 @@ TEST(SvcTrace, ServerEchoesMintsAndRejectsWireTraceIds) {
   EXPECT_TRUE(svc::is_valid_trace_id(rejected.string_or("trace_id", "")));
   EXPECT_NE(rejected.string_or("trace_id", ""), "not ok!");
 
+  // A megabyte of id is refused the same way: the answer stays small,
+  // and no exemplar label keeps the client's bytes.
+  const std::string huge = client.request_raw(
+      R"({"verb":"PING","trace_id":")" + std::string(1'000'000, '!') + R"("})");
+  EXPECT_LT(huge.size(), 1000u);
+  const json::Value huge_answer = json::parse(huge);
+  EXPECT_EQ(huge_answer.string_or("code", ""), "BAD_REQUEST");
+  EXPECT_TRUE(svc::is_valid_trace_id(huge_answer.string_or("trace_id", "")));
+  const json::Value stats = client.stats();
+  for (const auto& [name, histogram] : stats.at("metrics").at("histograms").as_object()) {
+    for (const json::Value& bucket : histogram.at("buckets").as_array()) {
+      if (!bucket.has("exemplar")) continue;
+      EXPECT_LE(bucket.at("exemplar").at("label").as_string().size(),
+                svc::kMaxTraceIdBytes)
+          << name;
+    }
+  }
+}
+
+TEST(SvcTrace, ServerEchoesMintsAndRejectsWireTraceIds) {
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  so.flight.slow_ms = 0.0;  // pin everything
+  svc::Server server(so);
+  server.start();
+  {
+    svc::Client client = svc::Client::connect_unix(so.unix_socket_path);
+    expect_trace_ids_echoed_minted_and_rejected(client);
+  }
   // Errors always pin: both traceable requests above are retrievable.
   EXPECT_GE(server.flight().pinned_size(), 1u);
+
+  // The router answers through the same envelope.
+  svc::RouterOptions ro;
+  ro.workers.push_back(svc::parse_backend_address("unix:" + so.unix_socket_path));
+  ro.unix_socket_path = unique_socket_path();
+  ro.probe_interval_ms = 0.0;
+  const std::string router_path = ro.unix_socket_path;
+  svc::Router router(std::move(ro));
+  router.start();
+  {
+    svc::Client client = svc::Client::connect_unix(router_path);
+    expect_trace_ids_echoed_minted_and_rejected(client);
+  }
+  router.stop_and_drain();
   server.stop_and_drain();
 }
 

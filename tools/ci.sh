@@ -250,6 +250,7 @@ router_smoke() {
       python3 -c "
 import json, sys
 stats = json.load(sys.stdin)
+assert 'build' in stats, sorted(stats)
 counters = stats['metrics']['counters']
 assert counters['mcr_router_failovers_total'] > 0, counters
 print(stats['metrics']['gauges']['mcr_router_backend_up{worker=\"unix:$w2\"}'])
@@ -261,6 +262,9 @@ print(stats['metrics']['gauges']['mcr_router_backend_up{worker=\"unix:$w2\"}'])
     echo "FAIL: revived worker never returned to up=1" >&2
     exit 1
   fi
+  # The router serves the worker's STATS frame, windowed view included,
+  # so the live view works against it too.
+  run "$bdir/tools/mcr_query" --socket "$rsock" top --count 1 > /dev/null
 
   kill -TERM "$router_pid"
   wait "$router_pid"
