@@ -20,7 +20,7 @@
 // Arithmetic: the (lambda, d) trajectory has unboundedly growing exact
 // denominators, so the iteration runs in doubles; the final answer is
 // snapped to the exact mean of the detected critical cycle and then
-// certified/corrected by detail::refine_to_exact, so the solver's
+// certified/corrected by refine_to_exact, so the solver's
 // results are exact like every other solver in the library.
 #include <algorithm>
 #include <cmath>
@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "algo/algorithms.h"
-#include "algo/detail.h"
+#include "core/critical.h"
 #include "core/result.h"
 #include "graph/bellman_ford.h"
 #include "graph/traversal.h"
@@ -182,22 +182,16 @@ class BurnsSolver final : public Solver {
     if (cycle.empty()) {
       // Iteration cap or a degenerate step: fall back to any real cycle
       // and let the exact refinement descend to the optimum.
-      cycle = find_any_cycle_whole_graph(g);
+      cycle = find_any_cycle(g);
     }
-    result.value = detail::exact_cycle_value(g, kind_, cycle);
+    result.value = cycle_value(g, kind_, cycle);
     result.cycle = std::move(cycle);
-    detail::refine_to_exact(g, kind_, result.value, result.cycle, result.counters);
+    refine_to_exact(g, kind_, result.value, result.cycle, result.counters);
     result.has_cycle = true;
     return result;
   }
 
  private:
-  static std::vector<ArcId> find_any_cycle_whole_graph(const Graph& g) {
-    std::vector<ArcId> all(static_cast<std::size_t>(g.num_arcs()));
-    for (ArcId a = 0; a < g.num_arcs(); ++a) all[static_cast<std::size_t>(a)] = a;
-    return find_any_cycle(g, all);
-  }
-
   double epsilon_;
   ProblemKind kind_;
 };

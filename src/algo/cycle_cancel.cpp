@@ -9,11 +9,11 @@
 // pseudopolynomial like Lawler's, but on the study's workloads it
 // converges in a handful of rounds — a useful sanity baseline when
 // comparing against the sophisticated algorithms, and the engine behind
-// detail::refine_to_exact that keeps every approximate solver exact.
+// refine_to_exact that keeps every approximate solver exact.
 #include <vector>
 
 #include "algo/algorithms.h"
-#include "algo/detail.h"
+#include "core/critical.h"
 #include "core/result.h"
 #include "graph/traversal.h"
 
@@ -32,11 +32,9 @@ class CycleCancelSolver final : public Solver {
 
   [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
     CycleResult result;
-    std::vector<ArcId> all(static_cast<std::size_t>(g.num_arcs()));
-    for (ArcId a = 0; a < g.num_arcs(); ++a) all[static_cast<std::size_t>(a)] = a;
-    result.cycle = find_any_cycle(g, all);
-    result.value = detail::exact_cycle_value(g, kind_, result.cycle);
-    detail::refine_to_exact(g, kind_, result.value, result.cycle, result.counters);
+    result.cycle = find_any_cycle(g);
+    result.value = cycle_value(g, kind_, result.cycle);
+    refine_to_exact(g, kind_, result.value, result.cycle, result.counters);
     result.counters.iterations = result.counters.feasibility_checks;
     result.has_cycle = true;
     return result;

@@ -11,19 +11,91 @@
 // Table 2 shows 0.06s vs Karp's 0.79s) and O(nm) when the graph is
 // dense enough that every level touches every node (the paper's random
 // graphs, where "the improvement ... is very small", §4.4).
-#include <limits>
+//
+// Karp's formula and the int64/int128 width rule are the Karp family's
+// shared engine (algo/karp_family.h), fed from the unfolding's arena.
+#include <optional>
 #include <vector>
 
 #include "algo/algorithms.h"
+#include "algo/karp_family.h"
 #include "core/result.h"
 #include "obs/obs.h"
-#include "support/int128.h"
 
 namespace mcr {
 
 namespace {
 
-constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
+template <typename D>
+std::optional<Rational> dg_value(const Graph& g, OpCounters& counters) {
+  const NodeId n = g.num_nodes();
+  const std::size_t un = static_cast<std::size_t>(n);
+
+  // The unfolding: one flat arena of (node, D_k(node)) entries with
+  // per-level offsets — exactly the nodes that have a k-arc path from
+  // the source. The arena's total size is the "size of the unfolded
+  // graph" that bounds DG's running time, and keeping it flat (one
+  // allocation, appended linearly) is what makes each visited arc as
+  // cheap as one of Karp's recurrence reads.
+  struct Entry {
+    NodeId node;
+    D dist;
+  };
+  std::vector<Entry> arena;
+  // Worst case the unfolding touches every node at every level (dense
+  // random graphs); reserving the full Theta(n^2) arena up front
+  // avoids reallocation copies and is the same quadratic footprint
+  // the paper attributes to DG (Table 2 shows N/A at n >= 8192).
+  arena.reserve((un + 1) * un);
+  std::vector<std::size_t> level_first(un + 2, 0);
+  arena.push_back({0, D{0}});
+  level_first[1] = 1;
+
+  std::vector<D> cur_val(un, D{0});
+  std::vector<NodeId> stamp(un, -1);
+  std::vector<NodeId> touched;
+  touched.reserve(un);
+  for (NodeId k = 1; k <= n; ++k) {
+    const std::size_t begin = level_first[static_cast<std::size_t>(k - 1)];
+    const std::size_t end = level_first[static_cast<std::size_t>(k)];
+    touched.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      const NodeId u = arena[i].node;
+      const D du = arena[i].dist;
+      ++counters.node_visits;
+      for (const ArcId a : g.out_arcs(u)) {
+        ++counters.arc_scans;
+        const NodeId v = g.dst(a);
+        const D cand = du + g.weight(a);
+        if (stamp[static_cast<std::size_t>(v)] != k) {
+          stamp[static_cast<std::size_t>(v)] = k;
+          cur_val[static_cast<std::size_t>(v)] = cand;
+          touched.push_back(v);
+        } else if (cand < cur_val[static_cast<std::size_t>(v)]) {
+          cur_val[static_cast<std::size_t>(v)] = cand;
+        }
+      }
+    }
+    for (const NodeId v : touched) {
+      arena.push_back({v, cur_val[static_cast<std::size_t>(v)]});
+    }
+    level_first[static_cast<std::size_t>(k) + 1] = arena.size();
+  }
+
+  // Evaluate Karp's formula over the touched (k, v) entries only.
+  std::vector<D> dn(un, detail::no_walk<D>());
+  for (std::size_t i = level_first[un]; i < level_first[un + 1]; ++i) {
+    dn[static_cast<std::size_t>(arena[i].node)] = arena[i].dist;
+  }
+  detail::KarpFormula<D> formula(dn, n);
+  for (NodeId k = 0; k < n; ++k) {
+    for (std::size_t i = level_first[static_cast<std::size_t>(k)];
+         i < level_first[static_cast<std::size_t>(k) + 1]; ++i) {
+      formula.fold(arena[i].node, k, arena[i].dist);
+    }
+  }
+  return formula.value();
+}
 
 class DgSolver final : public Solver {
  public:
@@ -34,104 +106,16 @@ class DgSolver final : public Solver {
 
   [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
     const NodeId n = g.num_nodes();
-    const std::size_t un = static_cast<std::size_t>(n);
     CycleResult result;
-
-    // The unfolding: one flat arena of (node, D_k(node)) entries with
-    // per-level offsets — exactly the nodes that have a k-arc path from
-    // the source. The arena's total size is the "size of the unfolded
-    // graph" that bounds DG's running time, and keeping it flat (one
-    // allocation, appended linearly) is what makes each visited arc as
-    // cheap as one of Karp's recurrence reads.
-    struct Entry {
-      NodeId node;
-      std::int64_t dist;
-    };
-    std::vector<Entry> arena;
-    // Worst case the unfolding touches every node at every level (dense
-    // random graphs); reserving the full Theta(n^2) arena up front
-    // avoids reallocation copies and is the same quadratic footprint
-    // the paper attributes to DG (Table 2 shows N/A at n >= 8192).
-    arena.reserve((un + 1) * un);
-    std::vector<std::size_t> level_first(un + 2, 0);
-    arena.push_back({0, 0});
-    level_first[1] = 1;
-
-    std::vector<std::int64_t> cur_val(un, 0);
-    std::vector<NodeId> stamp(un, -1);
-    std::vector<NodeId> touched;
-    touched.reserve(un);
-    for (NodeId k = 1; k <= n; ++k) {
-      const std::size_t begin = level_first[static_cast<std::size_t>(k - 1)];
-      const std::size_t end = level_first[static_cast<std::size_t>(k)];
-      touched.clear();
-      for (std::size_t i = begin; i < end; ++i) {
-        const NodeId u = arena[i].node;
-        const std::int64_t du = arena[i].dist;
-        ++result.counters.node_visits;
-        for (const ArcId a : g.out_arcs(u)) {
-          ++result.counters.arc_scans;
-          const NodeId v = g.dst(a);
-          const std::int64_t cand = du + g.weight(a);
-          if (stamp[static_cast<std::size_t>(v)] != k) {
-            stamp[static_cast<std::size_t>(v)] = k;
-            cur_val[static_cast<std::size_t>(v)] = cand;
-            touched.push_back(v);
-          } else if (cand < cur_val[static_cast<std::size_t>(v)]) {
-            cur_val[static_cast<std::size_t>(v)] = cand;
-          }
-        }
-      }
-      for (const NodeId v : touched) {
-        arena.push_back({v, cur_val[static_cast<std::size_t>(v)]});
-      }
-      level_first[static_cast<std::size_t>(k) + 1] = arena.size();
-    }
+    // Every arena entry is the weight of a walk of at most n arcs.
+    const auto value = detail::with_table_width(g, n, result.counters, [&](auto zero) {
+      return dg_value<decltype(zero)>(g, result.counters);
+    });
     result.counters.iterations = static_cast<std::uint64_t>(n);
     obs::emit(obs::EventKind::kIteration, "dg.levels", n);
 
-    // Evaluate Karp's formula over the touched (k, v) entries only.
-    std::vector<std::int64_t> dn(un, kInf);
-    for (std::size_t i = level_first[un]; i < level_first[un + 1]; ++i) {
-      dn[static_cast<std::size_t>(arena[i].node)] = arena[i].dist;
-    }
-
-    std::vector<std::int64_t> vmax_num(un, 0);
-    std::vector<std::int64_t> vmax_den(un, 0);  // 0 marks "no value yet"
-    for (NodeId k = 0; k < n; ++k) {
-      for (std::size_t i = level_first[static_cast<std::size_t>(k)];
-           i < level_first[static_cast<std::size_t>(k) + 1]; ++i) {
-        const NodeId v = arena[i].node;
-        const std::int64_t dk = arena[i].dist;
-        if (dn[static_cast<std::size_t>(v)] == kInf) continue;
-        const std::int64_t num = dn[static_cast<std::size_t>(v)] - dk;
-        const std::int64_t den = n - k;
-        if (vmax_den[static_cast<std::size_t>(v)] == 0 ||
-            static_cast<int128>(num) * vmax_den[static_cast<std::size_t>(v)] >
-                static_cast<int128>(vmax_num[static_cast<std::size_t>(v)]) * den) {
-          vmax_num[static_cast<std::size_t>(v)] = num;
-          vmax_den[static_cast<std::size_t>(v)] = den;
-        }
-      }
-    }
-
-    bool found = false;
-    std::int64_t best_num = 0;
-    std::int64_t best_den = 1;
-    for (NodeId v = 0; v < n; ++v) {
-      if (vmax_den[static_cast<std::size_t>(v)] == 0) continue;
-      if (!found ||
-          static_cast<int128>(vmax_num[static_cast<std::size_t>(v)]) * best_den <
-              static_cast<int128>(best_num) * vmax_den[static_cast<std::size_t>(v)]) {
-        best_num = vmax_num[static_cast<std::size_t>(v)];
-        best_den = vmax_den[static_cast<std::size_t>(v)];
-        found = true;
-      }
-    }
-    if (!found) return result;
-
-    result.has_cycle = true;
-    result.value = Rational(best_num, best_den);
+    result.has_cycle = value.has_value();  // always, per contract
+    result.value = value.value_or(Rational());
     return result;
   }
 };

@@ -20,22 +20,24 @@
 //    iterations" reported for HO, always < n, §4.3); otherwise level n
 //    is reached and Karp's formula finishes exactly.
 //
+// The level sweep (with its winning in-arcs as the parent table), the
+// formula and the int64/int128 width rule are the Karp family's shared
+// engine (algo/karp_family.h), so HO's levels tile like Karp's.
+//
 // Space is Theta(n^2) like Karp's — the reason Table 2 shows N/A for HO
 // at n >= 4096; the Karp2 rolling-row trick would apply here as well
 // (§4.4), at the cost of a second pass.
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "algo/algorithms.h"
+#include "algo/karp_family.h"
 #include "core/result.h"
 #include "obs/obs.h"
 
 namespace mcr {
 
 namespace {
-
-constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
 
 class HoSolver final : public Solver {
  public:
@@ -45,14 +47,33 @@ class HoSolver final : public Solver {
   [[nodiscard]] ProblemKind kind() const override { return ProblemKind::kCycleMean; }
 
   [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
+    return solve_scc(g, TileExec{});
+  }
+
+  [[nodiscard]] CycleResult solve_scc(const Graph& g,
+                                      const TileExec& tiles) const override {
+    const int128 n = g.num_nodes();
+    CycleResult result;
+    // Table entries are walks of at most n arcs; the potentials scale
+    // them by den(mu) <= n and subtract j*num(mu) with |num(mu)| <= n*max|w|,
+    // so every stored value stays within 2n^2 * max|w|.
+    detail::with_table_width(g, 2 * n * n, result.counters, [&](auto zero) {
+      solve_levels<decltype(zero)>(g, tiles, result);
+    });
+    return result;
+  }
+
+ private:
+  template <typename D>
+  static void solve_levels(const Graph& g, const TileExec& tiles, CycleResult& result) {
     const NodeId n = g.num_nodes();
     const std::size_t un = static_cast<std::size_t>(n);
-    CycleResult result;
+    constexpr D kNone = detail::no_walk<D>();
 
     // D and parent tables, (n+1) rows.
-    std::vector<std::int64_t> d((un + 1) * un, kInf);
+    std::vector<D> d((un + 1) * un, kNone);
     std::vector<ArcId> parent((un + 1) * un, kInvalidArc);
-    d[0] = 0;
+    d[0] = D{0};
 
     // Incumbent candidate.
     bool have_mu = false;
@@ -61,46 +82,38 @@ class HoSolver final : public Solver {
 
     // Scaled potentials pi(v) = min_j (D_j(v)*den(mu) - j*num(mu)),
     // maintained incrementally; fully recomputed when mu changes.
-    std::vector<std::int64_t> pi(un, kInf);
+    std::vector<D> pi(un, kNone);
+    const auto fold_level = [&](NodeId j) {
+      const D* row = d.data() + static_cast<std::size_t>(j) * un;
+      for (std::size_t v = 0; v < un; ++v) {
+        if (row[v] == kNone) continue;
+        const D scaled = row[v] * mu.den() - static_cast<D>(j) * mu.num();
+        if (scaled < pi[v]) pi[v] = scaled;
+      }
+    };
 
-    // Walk scratch.
-    std::vector<NodeId> walk_stamp(un, -1);
-    std::vector<std::int32_t> walk_pos(un, 0);
+    std::vector<std::int32_t> walk_seen(un, -1);  // find_cycle_on_path scratch
     NodeId next_checkpoint = 4;
 
+    detail::LevelSweep<D> sweep(g, tiles, result.counters);
     for (NodeId k = 1; k <= n; ++k) {
-      const std::size_t prev = static_cast<std::size_t>(k - 1) * un;
-      const std::size_t cur = static_cast<std::size_t>(k) * un;
-      NodeId argmin = kInvalidNode;
-      for (NodeId v = 0; v < n; ++v) {
-        std::int64_t best = kInf;
-        ArcId best_arc = kInvalidArc;
-        for (const ArcId a : g.in_arcs(v)) {
-          ++result.counters.arc_scans;
-          const std::int64_t du = d[prev + static_cast<std::size_t>(g.src(a))];
-          if (du == kInf) continue;
-          const std::int64_t cand = du + g.weight(a);
-          if (cand < best) {
-            best = cand;
-            best_arc = a;
-          }
-        }
-        d[cur + static_cast<std::size_t>(v)] = best;
-        parent[cur + static_cast<std::size_t>(v)] = best_arc;
-        if (best < kInf &&
-            (argmin == kInvalidNode || best < d[cur + static_cast<std::size_t>(argmin)])) {
-          argmin = v;
-        }
-      }
+      D* cur = d.data() + static_cast<std::size_t>(k) * un;
+      ArcId* cur_parent = parent.data() + static_cast<std::size_t>(k) * un;
+      sweep.run_with_arc(cur - un, [&](NodeId v, D best, ArcId arc) {
+        cur[static_cast<std::size_t>(v)] = best;
+        cur_parent[static_cast<std::size_t>(v)] = arc;
+      });
       result.counters.iterations = static_cast<std::uint64_t>(k);
       obs::emit(obs::EventKind::kIteration, "ho.level", k);
       if (k == n) break;  // level n only feeds Karp's formula
 
-      // Look for a cycle on the shortest k-arc path to the argmin node.
+      // Look for a cycle on the shortest k-arc path to the argmin node
+      // (the first node holding the level's minimum).
+      const D* argmin = std::min_element(cur, cur + un);
       bool mu_changed = false;
-      if (argmin != kInvalidNode) {
-        const std::vector<ArcId> cyc = find_cycle_on_path(g, d, parent, walk_stamp,
-                                                          walk_pos, k, argmin, n);
+      if (*argmin != kNone) {
+        const std::vector<ArcId> cyc =
+            find_cycle_on_path(g, parent, walk_seen, k, static_cast<NodeId>(argmin - cur));
         if (!cyc.empty()) {
           ++result.counters.cycle_evaluations;
           const Rational cand_mu = cycle_mean(g, cyc);
@@ -117,28 +130,10 @@ class HoSolver final : public Solver {
 
       if (mu_changed) {
         // Recompute scaled potentials from all levels 0..k.
-        std::fill(pi.begin(), pi.end(), kInf);
-        for (NodeId j = 0; j <= k; ++j) {
-          const std::size_t row = static_cast<std::size_t>(j) * un;
-          for (NodeId v = 0; v < n; ++v) {
-            const std::int64_t dj = d[row + static_cast<std::size_t>(v)];
-            if (dj == kInf) continue;
-            const std::int64_t scaled = dj * mu.den() - static_cast<std::int64_t>(j) * mu.num();
-            if (scaled < pi[static_cast<std::size_t>(v)]) {
-              pi[static_cast<std::size_t>(v)] = scaled;
-            }
-          }
-        }
+        std::fill(pi.begin(), pi.end(), kNone);
+        for (NodeId j = 0; j <= k; ++j) fold_level(j);
       } else {
-        // Fold in the new level only.
-        for (NodeId v = 0; v < n; ++v) {
-          const std::int64_t dk = d[cur + static_cast<std::size_t>(v)];
-          if (dk == kInf) continue;
-          const std::int64_t scaled = dk * mu.den() - static_cast<std::int64_t>(k) * mu.num();
-          if (scaled < pi[static_cast<std::size_t>(v)]) {
-            pi[static_cast<std::size_t>(v)] = scaled;
-          }
-        }
+        fold_level(k);  // fold in the new level only
       }
 
       // Criticality (feasibility) test at mu — exact, in scaled integers.
@@ -150,92 +145,61 @@ class HoSolver final : public Solver {
           result.has_cycle = true;
           result.value = mu;
           result.cycle = std::move(witness);
-          return result;  // early termination at level k
+          return;  // early termination at level k
         }
       }
     }
 
-    // No early exit: finish with Karp's formula (exact).
-    const std::size_t last = un * un;
-    bool found = false;
-    Rational best_value;
-    for (NodeId v = 0; v < n; ++v) {
-      const std::int64_t dn = d[last + static_cast<std::size_t>(v)];
-      if (dn == kInf) continue;
-      bool have_max = false;
-      Rational vmax;
-      for (NodeId k = 0; k < n; ++k) {
-        const std::int64_t dk =
-            d[static_cast<std::size_t>(k) * un + static_cast<std::size_t>(v)];
-        if (dk == kInf) continue;
-        const Rational frac(dn - dk, n - k);
-        if (!have_max || frac > vmax) {
-          vmax = frac;
-          have_max = true;
-        }
-      }
-      if (have_max && (!found || vmax < best_value)) {
-        best_value = vmax;
-        found = true;
-      }
+    // No early exit: finish with Karp's formula (exact). Witness
+    // recovery is left to the driver (extract_optimal_cycle).
+    detail::KarpFormula<D> formula(std::span<const D>(d.data() + un * un, un), n);
+    formula.fold_table(d.data(), 0, n);
+    if (const std::optional<Rational> value = formula.value()) {
+      result.has_cycle = true;
+      result.value = *value;
     }
-    if (!found) return result;
-    result.has_cycle = true;
-    result.value = best_value;
-    // Witness recovery is left to the driver (extract_optimal_cycle).
-    return result;
   }
 
- private:
   /// Walks the parent chain of (level k, node v) and returns the first
-  /// cycle encountered (arcs in forward order), or empty.
+  /// cycle encountered (arcs in forward order), or empty. `seen` marks
+  /// each visited node's position on the walk; it is all -1 on entry and
+  /// is restored on return.
   static std::vector<ArcId> find_cycle_on_path(const Graph& g,
-                                               const std::vector<std::int64_t>& d,
                                                const std::vector<ArcId>& parent,
-                                               std::vector<NodeId>& stamp,
-                                               std::vector<std::int32_t>& pos, NodeId k,
-                                               NodeId v, NodeId n) {
-    static_cast<void>(d);
-    const std::size_t un = static_cast<std::size_t>(n);
-    // Stamp with a per-walk id derived from k and v (unique per call).
-    // Simpler: clear-by-visit using the walk list.
-    std::vector<ArcId> walk_arcs;
-    std::vector<NodeId> walk_nodes;
-    NodeId node = v;
-    NodeId level = k;
+                                               std::vector<std::int32_t>& seen, NodeId k,
+                                               NodeId v) {
+    std::vector<ArcId> walk;  // parent arcs, from v backwards
+    std::vector<NodeId> visited;
     std::vector<ArcId> cycle;
-    for (;;) {
-      if (stamp[static_cast<std::size_t>(node)] == 1) {
-        const std::int32_t first = pos[static_cast<std::size_t>(node)];
-        // walk_arcs[first..] lead backwards around the cycle.
-        cycle.assign(walk_arcs.begin() + first, walk_arcs.end());
-        std::reverse(cycle.begin(), cycle.end());
+    for (NodeId level = k;; --level) {
+      std::int32_t& at = seen[static_cast<std::size_t>(v)];
+      if (at >= 0) {  // walk[at..] lead backwards around the cycle
+        cycle.assign(walk.rbegin(), walk.rend() - at);
         break;
       }
-      stamp[static_cast<std::size_t>(node)] = 1;
-      pos[static_cast<std::size_t>(node)] = static_cast<std::int32_t>(walk_arcs.size());
-      walk_nodes.push_back(node);
-      if (level == 0) break;
-      const ArcId a = parent[static_cast<std::size_t>(level) * un +
-                             static_cast<std::size_t>(node)];
+      at = static_cast<std::int32_t>(walk.size());
+      visited.push_back(v);
+      const ArcId a = level == 0 ? kInvalidArc
+                                 : parent[static_cast<std::size_t>(level) * seen.size() +
+                                          static_cast<std::size_t>(v)];
       if (a == kInvalidArc) break;
-      walk_arcs.push_back(a);
-      node = g.src(a);
-      --level;
+      walk.push_back(a);
+      v = g.src(a);
     }
-    for (const NodeId u : walk_nodes) stamp[static_cast<std::size_t>(u)] = -1;
+    for (const NodeId u : visited) seen[static_cast<std::size_t>(u)] = -1;
     return cycle;
   }
 
   /// Exact feasibility of the scaled potentials for G_mu.
-  static bool potentials_feasible(const Graph& g, const std::vector<std::int64_t>& pi,
+  template <typename D>
+  static bool potentials_feasible(const Graph& g, const std::vector<D>& pi,
                                   const Rational& mu) {
     for (ArcId a = 0; a < g.num_arcs(); ++a) {
-      const std::int64_t pu = pi[static_cast<std::size_t>(g.src(a))];
-      const std::int64_t pv = pi[static_cast<std::size_t>(g.dst(a))];
-      if (pu == kInf) return false;  // node not yet reached: cannot certify
-      if (pv == kInf) return false;
-      if (pv > pu + g.weight(a) * mu.den() - mu.num()) return false;
+      const D pu = pi[static_cast<std::size_t>(g.src(a))];
+      const D pv = pi[static_cast<std::size_t>(g.dst(a))];
+      // A node not yet reached cannot be certified.
+      if (pu == detail::no_walk<D>() || pv == detail::no_walk<D>()) return false;
+      if (pv > pu + static_cast<D>(g.weight(a)) * mu.den() - mu.num()) return false;
     }
     return true;
   }

@@ -16,29 +16,86 @@
 // by validate_ratio_instance), so one pass in topological order per
 // level suffices.
 //
-// Guard rails: walks of transit exactly T may not exist in degenerate
-// instances (all cycle transits sharing a divisor that T misses). The
-// candidate from the formula is therefore cross-checked — the witness
-// is extracted from the critical subgraph when the candidate is the
-// exact optimum, and detail::refine_to_exact repairs the rare rest, so
-// the solver is exact unconditionally.
-#include <algorithm>
-#include <limits>
+// The table fill and Karp's formula run at the width the Karp family's
+// rule picks (algo/karp_family.h). Guard rails: walks of transit
+// exactly T may not exist in degenerate instances (all cycle transits
+// sharing a divisor that T misses). The candidate from the formula is
+// therefore cross-checked — the witness is extracted from the critical
+// subgraph when the candidate is the exact optimum, and
+// refine_to_exact repairs the rare rest, so the solver is exact
+// unconditionally.
+#include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "algo/algorithms.h"
-#include "algo/detail.h"
+#include "algo/karp_family.h"
 #include "core/critical.h"
 #include "core/result.h"
 #include "graph/traversal.h"
 #include "obs/obs.h"
-#include "support/int128.h"
 
 namespace mcr {
 
 namespace {
 
-constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
+/// Largest level table ho_ratio builds, in (T+1)*n entries. It keeps the
+/// index arithmetic in range and bounds Karp's formula: T and every
+/// walk's arc count stay below 2^31.
+constexpr std::int64_t kMaxTableEntries = (std::int64_t{1} << 31) - 1;
+
+/// Fills D_t(v) for t = 0..T and evaluates Karp's formula over it.
+template <typename D>
+std::optional<Rational> ho_ratio_value(const Graph& g, const Graph& zero_sub,
+                                       const std::vector<NodeId>& zero_topo,
+                                       OpCounters& counters) {
+  const NodeId n = g.num_nodes();
+  const std::size_t un = static_cast<std::size_t>(n);
+  const std::int64_t total = g.total_transit();
+  constexpr D kNone = detail::no_walk<D>();
+
+  std::vector<D> d((static_cast<std::size_t>(total) + 1) * un, kNone);
+  const auto cell = [&](std::int64_t t, NodeId v) -> D& {
+    return d[static_cast<std::size_t>(t) * un + static_cast<std::size_t>(v)];
+  };
+
+  const auto relax_zero_arcs = [&](std::int64_t t) {
+    for (const NodeId u : zero_topo) {
+      const D du = cell(t, u);
+      if (du == kNone) continue;
+      for (const ArcId a : zero_sub.out_arcs(u)) {
+        ++counters.arc_scans;
+        D& dv = cell(t, zero_sub.dst(a));
+        if (du + zero_sub.weight(a) < dv) dv = du + zero_sub.weight(a);
+      }
+    }
+  };
+
+  cell(0, 0) = D{0};
+  relax_zero_arcs(0);
+  for (std::int64_t t = 1; t <= total; ++t) {
+    ++counters.iterations;
+    obs::emit(obs::EventKind::kIteration, "ho_ratio.level", t);
+    for (NodeId v = 0; v < n; ++v) {
+      D best = kNone;
+      for (const ArcId a : g.in_arcs(v)) {
+        const std::int64_t ta = g.transit(a);
+        if (ta == 0 || ta > t) continue;
+        ++counters.arc_scans;
+        const D du = cell(t - ta, g.src(a));
+        if (du == kNone) continue;
+        if (du + g.weight(a) < best) best = du + g.weight(a);
+      }
+      cell(t, v) = best;
+    }
+    relax_zero_arcs(t);
+  }
+
+  // rho-hat = min_v max_t (D_T(v) - D_t(v)) / (T - t).
+  detail::KarpFormula<D> formula(std::span<const D>(&cell(total, 0), un), total);
+  formula.fold_table(d.data(), 0, n);
+  return formula.value();
+}
 
 class HartmannOrlinRatioSolver final : public Solver {
  public:
@@ -49,113 +106,49 @@ class HartmannOrlinRatioSolver final : public Solver {
 
   [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
     const NodeId n = g.num_nodes();
-    const std::size_t un = static_cast<std::size_t>(n);
     const std::int64_t total = g.total_transit();
     CycleResult result;
 
-    // Topological order of the zero-transit subgraph for in-level
-    // relaxation (empty if there are no zero-transit arcs).
+    // The zero-transit subgraph in topological order, for in-level
+    // relaxation (no order when there are no zero-transit arcs).
     std::vector<ArcSpec> zero_specs;
     for (ArcId a = 0; a < g.num_arcs(); ++a) {
       if (g.transit(a) == 0) {
-        zero_specs.push_back(ArcSpec{g.src(a), g.dst(a), 0, 0});
+        zero_specs.push_back(ArcSpec{g.src(a), g.dst(a), g.weight(a), 0});
       }
       if (g.transit(a) < 0) {
         throw std::invalid_argument("ho_ratio: negative transit time");
       }
     }
+    const Graph zero_sub(n, zero_specs);
     std::vector<NodeId> zero_topo;
-    std::vector<std::vector<ArcId>> zero_out(un);
     if (!zero_specs.empty()) {
-      const Graph zero_sub(n, zero_specs);
       zero_topo = topological_order(zero_sub);
       if (zero_topo.empty()) {
         throw std::invalid_argument("ho_ratio: zero-transit cycle");
       }
-      for (ArcId a = 0; a < g.num_arcs(); ++a) {
-        if (g.transit(a) == 0) {
-          zero_out[static_cast<std::size_t>(g.src(a))].push_back(a);
-        }
-      }
     }
 
-    const std::size_t levels = static_cast<std::size_t>(total) + 1;
-    std::vector<std::int64_t> d(levels * un, kInf);
-    const auto cell = [&](std::int64_t t, NodeId v) -> std::int64_t& {
-      return d[static_cast<std::size_t>(t) * un + static_cast<std::size_t>(v)];
-    };
-
-    const auto relax_zero_arcs = [&](std::int64_t t) {
-      if (zero_topo.empty()) return;
-      for (const NodeId u : zero_topo) {
-        const std::int64_t du = cell(t, u);
-        if (du == kInf) continue;
-        for (const ArcId a : zero_out[static_cast<std::size_t>(u)]) {
-          ++result.counters.arc_scans;
-          std::int64_t& dv = cell(t, g.dst(a));
-          if (du + g.weight(a) < dv) dv = du + g.weight(a);
-        }
-      }
-    };
-
-    cell(0, 0) = 0;
-    relax_zero_arcs(0);
-    for (std::int64_t t = 1; t <= total; ++t) {
-      ++result.counters.iterations;
-      obs::emit(obs::EventKind::kIteration, "ho_ratio.level", t);
-      for (NodeId v = 0; v < n; ++v) {
-        std::int64_t best = kInf;
-        for (const ArcId a : g.in_arcs(v)) {
-          const std::int64_t ta = g.transit(a);
-          if (ta == 0 || ta > t) continue;
-          ++result.counters.arc_scans;
-          const std::int64_t du = cell(t - ta, g.src(a));
-          if (du == kInf) continue;
-          if (du + g.weight(a) < best) best = du + g.weight(a);
-        }
-        cell(t, v) = best;
-      }
-      relax_zero_arcs(t);
+    // A walk of transit t has at most t positive-transit arcs and, around
+    // them, t+1 zero-transit runs of at most n-1 arcs each (the
+    // zero-transit arcs form a DAG): every D_t(v) is the weight of a walk
+    // of at most (T+1)*n arcs.
+    const int128 walk_arcs = (static_cast<int128>(total) + 1) * n;
+    if (walk_arcs > kMaxTableEntries) {
+      throw std::invalid_argument("ho_ratio: transit table of (T+1)*n entries too large");
     }
+    const std::optional<Rational> candidate =
+        detail::with_table_width(g, walk_arcs, result.counters, [&](auto zero) {
+          return ho_ratio_value<decltype(zero)>(g, zero_sub, zero_topo, result.counters);
+        });
 
-    // rho-hat = min_v max_t (D_T(v) - D_t(v)) / (T - t).
-    bool found = false;
-    std::int64_t best_num = 0;
-    std::int64_t best_den = 1;
-    for (NodeId v = 0; v < n; ++v) {
-      const std::int64_t dT = cell(total, v);
-      if (dT == kInf) continue;
-      bool have_max = false;
-      std::int64_t vmax_num = 0;
-      std::int64_t vmax_den = 1;
-      for (std::int64_t t = 0; t < total; ++t) {
-        const std::int64_t dt = cell(t, v);
-        if (dt == kInf) continue;
-        const std::int64_t num = dT - dt;
-        const std::int64_t den = total - t;
-        if (!have_max || static_cast<int128>(num) * vmax_den >
-                             static_cast<int128>(vmax_num) * den) {
-          vmax_num = num;
-          vmax_den = den;
-          have_max = true;
-        }
-      }
-      if (have_max && (!found || static_cast<int128>(vmax_num) * best_den <
-                                     static_cast<int128>(best_num) * vmax_den)) {
-        best_num = vmax_num;
-        best_den = vmax_den;
-        found = true;
-      }
-    }
-
-    if (found) {
-      const Rational candidate(best_num, best_den);
+    if (candidate) {
       // The candidate is exact whenever transit-T walks exist to the
       // right nodes; extract a witness and certify/refine.
       try {
         result.cycle =
-            extract_optimal_cycle(g, candidate, ProblemKind::kCycleRatio);
-        result.value = candidate;
+            extract_optimal_cycle(g, *candidate, ProblemKind::kCycleRatio);
+        result.value = *candidate;
         result.has_cycle = true;
         return result;
       } catch (const std::invalid_argument&) {
@@ -164,12 +157,10 @@ class HartmannOrlinRatioSolver final : public Solver {
     }
     // No usable transit-T row (or the candidate missed): start from any
     // cycle and let exact cycle canceling finish.
-    std::vector<ArcId> all(static_cast<std::size_t>(g.num_arcs()));
-    for (ArcId a = 0; a < g.num_arcs(); ++a) all[static_cast<std::size_t>(a)] = a;
-    result.cycle = find_any_cycle(g, all);
-    result.value = detail::exact_cycle_value(g, ProblemKind::kCycleRatio, result.cycle);
-    detail::refine_to_exact(g, ProblemKind::kCycleRatio, result.value, result.cycle,
-                            result.counters);
+    result.cycle = find_any_cycle(g);
+    result.value = cycle_value(g, ProblemKind::kCycleRatio, result.cycle);
+    refine_to_exact(g, ProblemKind::kCycleRatio, result.value, result.cycle,
+                    result.counters);
     result.has_cycle = true;
     return result;
   }

@@ -44,7 +44,7 @@
 #include <vector>
 
 #include "algo/algorithms.h"
-#include "algo/detail.h"
+#include "core/critical.h"
 #include "core/result.h"
 #include "obs/obs.h"
 #include "support/int128.h"
@@ -216,8 +216,7 @@ class HowardSolver final : public Solver {
           // m = 2048, transit U[1, 10], and more at larger n (test
           // Howard.ScaleOverflowValveStaysExact keeps it covered).
           obs::emit(obs::EventKind::kSafetyValve, "howard.scale_overflow", iter);
-          detail::refine_to_exact(g, kind_, lambda, best_cycle, result.counters,
-                                  tiles);
+          refine_to_exact(g, kind_, lambda, best_cycle, result.counters, tiles);
           break;
         }
       }
@@ -313,8 +312,7 @@ class HowardSolver final : public Solver {
       // paper's workloads; counted in feasibility_checks when it does.
       if (iter > iteration_cap(n, g.num_arcs())) {
         obs::emit(obs::EventKind::kSafetyValve, "howard.iteration_cap", iter);
-        detail::refine_to_exact(g, kind_, lambda, best_cycle, result.counters,
-                                  tiles);
+        refine_to_exact(g, kind_, lambda, best_cycle, result.counters, tiles);
         break;
       }
     }

@@ -9,24 +9,57 @@
 // doubles the running time, as expected" (§4.4) — the shape
 // bench_karp_variants reproduces.
 //
-// Each level advance is a snapshot sweep (level k reads only level
-// k-1), so it runs through the tiled engine (graph/arc_tiles.h); the
-// pass-2 per-node max fold rides inside the same sweep's apply step.
-// Both are per-node-independent, so results are bit-identical for any
-// tile size and thread count.
-#include <limits>
+// The level sweep, the formula and the int64/int128 width rule are the
+// Karp family's shared engine (algo/karp_family.h); the pass-2 per-node
+// max fold rides inside the sweep's apply step. Both are
+// per-node-independent, so results are bit-identical for any tile size
+// and thread count.
+#include <optional>
 #include <vector>
 
 #include "algo/algorithms.h"
+#include "algo/karp_family.h"
 #include "core/result.h"
 #include "obs/obs.h"
-#include "support/int128.h"
 
 namespace mcr {
 
 namespace {
 
-constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
+template <typename D>
+std::optional<Rational> karp2_value(const Graph& g, OpCounters& counters,
+                                    const TileExec& tiles) {
+  const NodeId n = g.num_nodes();
+  const std::size_t un = static_cast<std::size_t>(n);
+  std::vector<D> prev(un, detail::no_walk<D>());
+  std::vector<D> cur(un, detail::no_walk<D>());
+
+  detail::LevelSweep<D> sweep(g, tiles, counters);
+  const auto advance = [&](const auto& apply) {
+    sweep.run(prev.data(), apply);
+    prev.swap(cur);
+  };
+  const auto store = [&](NodeId v, D best) { cur[static_cast<std::size_t>(v)] = best; };
+
+  // Pass 1: compute D_n into `prev`.
+  prev[0] = D{0};
+  for (NodeId k = 1; k <= n; ++k) advance(store);
+  detail::KarpFormula<D> formula(prev, n);
+
+  // Pass 2: recompute D_k for k = 0..n-1. The fold for level k rides in
+  // the advance to level k (each node folds its own slot, so the tiled
+  // sweep stays race-free and deterministic).
+  prev.assign(un, detail::no_walk<D>());
+  prev[0] = D{0};
+  formula.fold(0, 0, D{0});  // level 0 has the single finite entry D_0(0) = 0
+  for (NodeId k = 1; k < n; ++k) {
+    advance([&](NodeId v, D best) {
+      cur[static_cast<std::size_t>(v)] = best;
+      formula.fold(v, k, best);
+    });
+  }
+  return formula.value();
+}
 
 class Karp2Solver final : public Solver {
  public:
@@ -42,81 +75,16 @@ class Karp2Solver final : public Solver {
   [[nodiscard]] CycleResult solve_scc(const Graph& g,
                                       const TileExec& tiles) const override {
     const NodeId n = g.num_nodes();
-    const std::size_t un = static_cast<std::size_t>(n);
     CycleResult result;
-
-    std::vector<std::int64_t> prev(un, kInf);
-    std::vector<std::int64_t> cur(un, kInf);
-
-    const std::span<const ArcId> in_ids = g.in_arc_ids();
-    TiledSweep sweep(g.in_first(), tiles);
-    const auto candidate = [&](std::int32_t p) -> std::int64_t {
-      const ArcId a = in_ids[static_cast<std::size_t>(p)];
-      const std::int64_t du = prev[static_cast<std::size_t>(g.src(a))];
-      if (du == kInf) return kInf;
-      return du + g.weight(a);
-    };
-    const auto advance = [&](const auto& apply) {
-      sweep.run(kInf, candidate, apply);
-      result.counters.arc_scans += static_cast<std::uint64_t>(sweep.positions());
-      prev.swap(cur);
-    };
-    const auto store = [&](NodeId v, std::int64_t best) {
-      cur[static_cast<std::size_t>(v)] = best;
-    };
-
-    // Pass 1: compute D_n into `prev`.
-    prev[0] = 0;
-    for (NodeId k = 1; k <= n; ++k) advance(store);
-    std::vector<std::int64_t> dn = prev;
-
-    // Pass 2: recompute D_k for k = 0..n-1, folding the max ratio with
-    // raw 128-bit fraction comparisons. The fold for level k rides in
-    // the advance to level k (each node folds its own slot, so the
-    // tiled sweep stays race-free and deterministic).
-    std::vector<std::int64_t> vmax_num(un, 0);
-    std::vector<std::int64_t> vmax_den(un, 0);  // 0 marks "no value yet"
-    const auto fold = [&](NodeId v, std::int64_t dk, NodeId k) {
-      if (dk == kInf || dn[static_cast<std::size_t>(v)] == kInf) return;
-      const std::int64_t num = dn[static_cast<std::size_t>(v)] - dk;
-      const std::int64_t den = n - k;
-      if (vmax_den[static_cast<std::size_t>(v)] == 0 ||
-          static_cast<int128>(num) * vmax_den[static_cast<std::size_t>(v)] >
-              static_cast<int128>(vmax_num[static_cast<std::size_t>(v)]) * den) {
-        vmax_num[static_cast<std::size_t>(v)] = num;
-        vmax_den[static_cast<std::size_t>(v)] = den;
-      }
-    };
-    prev.assign(un, kInf);
-    cur.assign(un, kInf);
-    prev[0] = 0;
-    fold(0, 0, 0);  // level 0 has the single finite entry D_0(0) = 0
-    for (NodeId k = 1; k < n; ++k) {
-      advance([&](NodeId v, std::int64_t best) {
-        cur[static_cast<std::size_t>(v)] = best;
-        fold(v, best, k);
-      });
-    }
+    // Both passes hold weights of walks of at most n arcs.
+    const auto value = detail::with_table_width(g, n, result.counters, [&](auto zero) {
+      return karp2_value<decltype(zero)>(g, result.counters, tiles);
+    });
     result.counters.iterations = 2 * static_cast<std::uint64_t>(n);
     obs::emit(obs::EventKind::kIteration, "karp2.levels", 2 * n);
 
-    bool found = false;
-    std::int64_t best_num = 0;
-    std::int64_t best_den = 1;
-    for (NodeId v = 0; v < n; ++v) {
-      if (vmax_den[static_cast<std::size_t>(v)] == 0) continue;
-      if (!found ||
-          static_cast<int128>(vmax_num[static_cast<std::size_t>(v)]) * best_den <
-              static_cast<int128>(best_num) * vmax_den[static_cast<std::size_t>(v)]) {
-        best_num = vmax_num[static_cast<std::size_t>(v)];
-        best_den = vmax_den[static_cast<std::size_t>(v)];
-        found = true;
-      }
-    }
-    if (!found) return result;
-
-    result.has_cycle = true;
-    result.value = Rational(best_num, best_den);
+    result.has_cycle = value.has_value();  // always, per contract
+    result.value = value.value_or(Rational());
     return result;
   }
 };

@@ -19,13 +19,13 @@
 //     exact mean tightens the upper bound directly, collapsing the
 //     search after a handful of probes.
 // Both track the best witness cycle and finish with
-// detail::refine_to_exact, so the returned value is exact regardless of
+// refine_to_exact, so the returned value is exact regardless of
 // epsilon.
 #include <algorithm>
 #include <vector>
 
 #include "algo/algorithms.h"
-#include "algo/detail.h"
+#include "core/critical.h"
 #include "core/result.h"
 #include "graph/bellman_ford.h"
 #include "graph/traversal.h"
@@ -61,10 +61,8 @@ class LawlerSolver final : public Solver {
     };
 
     // Initial witness: any cycle; its exact value is an upper bound.
-    std::vector<ArcId> all_arcs(static_cast<std::size_t>(m));
-    for (ArcId a = 0; a < m; ++a) all_arcs[static_cast<std::size_t>(a)] = a;
-    std::vector<ArcId> witness = find_any_cycle(g, all_arcs);
-    Rational best = detail::exact_cycle_value(g, kind_, witness);
+    std::vector<ArcId> witness = find_any_cycle(g);
+    Rational best = cycle_value(g, kind_, witness);
 
     // Search interval. For the mean, [w_min, w_max]; for ratios the
     // mediant inequality gives the same with per-arc w/t when all
@@ -112,7 +110,7 @@ class LawlerSolver final : public Solver {
           bellman_ford_all_real(g, cost, &result.counters, tiles);
       if (bf.has_negative_cycle) {
         // lambda* < mid: the probed value is too large.
-        const Rational found = detail::exact_cycle_value(g, kind_, bf.cycle);
+        const Rational found = cycle_value(g, kind_, bf.cycle);
         if (found < best) {
           best = found;
           witness = std::move(bf.cycle);
@@ -127,8 +125,7 @@ class LawlerSolver final : public Solver {
 
     result.value = best;
     result.cycle = std::move(witness);
-    detail::refine_to_exact(g, kind_, result.value, result.cycle, result.counters,
-                            tiles);
+    refine_to_exact(g, kind_, result.value, result.cycle, result.counters, tiles);
     result.has_cycle = true;
     return result;
   }

@@ -18,10 +18,8 @@
 #include <vector>
 
 #include "algo/algorithms.h"
-#include "algo/detail.h"
 #include "core/critical.h"
 #include "core/result.h"
-#include "graph/bellman_ford.h"
 #include "graph/traversal.h"
 #include "obs/obs.h"
 #include "support/int128.h"
@@ -57,10 +55,8 @@ class MegiddoSolver final : public Solver {
 
     // Certified interval (lo, hi]: lo below every cycle value, hi the
     // exact value of a concrete witness cycle.
-    std::vector<ArcId> all(static_cast<std::size_t>(m));
-    for (ArcId a = 0; a < m; ++a) all[static_cast<std::size_t>(a)] = a;
-    std::vector<ArcId> witness = find_any_cycle(g, all);
-    Rational hi = detail::exact_cycle_value(g, kind_, witness);
+    std::vector<ArcId> witness = find_any_cycle(g);
+    Rational hi = cycle_value(g, kind_, witness);
     Rational lo =
         Rational(-(std::abs(g.min_weight()) + std::abs(g.max_weight()) + 1) *
                  static_cast<std::int64_t>(n)) -
@@ -72,16 +68,15 @@ class MegiddoSolver final : public Solver {
       ++result.counters.feasibility_checks;
       obs::emit(obs::EventKind::kFeasibilityProbe, "megiddo.oracle",
                 static_cast<std::int64_t>(result.counters.feasibility_checks));
-      const std::vector<std::int64_t> cost = lambda_costs(g, rho0, kind_);
-      BellmanFordResult bf = bellman_ford_all(g, cost, &result.counters);
-      if (!bf.has_negative_cycle) {
+      LambdaProbe probe = lambda_probe(g, rho0, kind_, &result.counters);
+      if (!probe.has_negative_cycle) {
         if (rho0 > lo) lo = rho0;
         return true;
       }
-      const Rational found = detail::exact_cycle_value(g, kind_, bf.cycle);
+      const Rational found = cycle_value(g, kind_, probe.cycle);
       if (found < hi) {
         hi = found;
-        witness = std::move(bf.cycle);
+        witness = std::move(probe.cycle);
       }
       return false;
     };
@@ -138,7 +133,7 @@ class MegiddoSolver final : public Solver {
     // tie decisions).
     result.value = hi;
     result.cycle = std::move(witness);
-    detail::refine_to_exact(g, kind_, result.value, result.cycle, result.counters);
+    refine_to_exact(g, kind_, result.value, result.cycle, result.counters);
     result.has_cycle = true;
     return result;
   }

@@ -17,7 +17,7 @@
 // pass budget) emerges from the same mechanism as the original's.
 //
 // Because a bounded feasibility test can misclassify, the final witness
-// is certified and, if needed, corrected by detail::refine_to_exact;
+// is certified and, if needed, corrected by refine_to_exact;
 // like the paper's OA1 the search itself is approximate (precision
 // epsilon), but the returned value is the exact optimum.
 #include <algorithm>
@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "algo/algorithms.h"
-#include "algo/detail.h"
+#include "core/critical.h"
 #include "core/result.h"
 #include "graph/traversal.h"
 #include "obs/obs.h"
@@ -46,10 +46,8 @@ class Oa1Solver final : public Solver {
     const ArcId m = g.num_arcs();
     CycleResult result;
 
-    std::vector<ArcId> all_arcs(static_cast<std::size_t>(m));
-    for (ArcId a = 0; a < m; ++a) all_arcs[static_cast<std::size_t>(a)] = a;
-    std::vector<ArcId> witness = find_any_cycle(g, all_arcs);
-    Rational best = detail::exact_cycle_value(g, ProblemKind::kCycleMean, witness);
+    std::vector<ArcId> witness = find_any_cycle(g);
+    Rational best = cycle_value(g, ProblemKind::kCycleMean, witness);
 
     double lo = static_cast<double>(g.min_weight());
     double hi = best.to_double();
@@ -104,7 +102,7 @@ class Oa1Solver final : public Solver {
         cyc = cycle_in_parent_forest(g, parent, last_relaxed);
       }
       if (!cyc.empty()) {
-        const Rational found = detail::exact_cycle_value(g, ProblemKind::kCycleMean, cyc);
+        const Rational found = cycle_value(g, ProblemKind::kCycleMean, cyc);
         if (found < best) {
           best = found;
           witness = std::move(cyc);
@@ -119,8 +117,8 @@ class Oa1Solver final : public Solver {
 
     result.value = best;
     result.cycle = std::move(witness);
-    detail::refine_to_exact(g, ProblemKind::kCycleMean, result.value, result.cycle,
-                            result.counters);
+    refine_to_exact(g, ProblemKind::kCycleMean, result.value, result.cycle,
+                    result.counters);
     result.has_cycle = true;
     return result;
   }

@@ -2,37 +2,107 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
+#include "core/result.h"
 #include "graph/bellman_ford.h"
+#include "graph/bellman_ford_engine.h"
 #include "graph/scc.h"
 #include "graph/traversal.h"
+#include "obs/obs.h"
 #include "support/checked.h"
 
 namespace mcr {
 
-std::vector<std::int64_t> lambda_costs(const Graph& g, const Rational& value,
-                                       ProblemKind kind) {
-  std::vector<std::int64_t> cost(static_cast<std::size_t>(g.num_arcs()));
-  const std::int64_t num = value.num();
-  const std::int64_t den = value.den();
+namespace {
+
+/// cost(e) = w(e)*den - num*t(e): overflow-checked in int64, plain in
+/// int128, where |w|,|num|,|den|,|t| <= 2^63 keep |cost| < 2^127.
+template <typename Cost>
+std::vector<Cost> transformed_costs(const Graph& g, const Rational& value, ProblemKind kind) {
+  std::vector<Cost> cost(static_cast<std::size_t>(g.num_arcs()));
   for (ArcId a = 0; a < g.num_arcs(); ++a) {
     const std::int64_t t = kind == ProblemKind::kCycleMean ? 1 : g.transit(a);
-    cost[static_cast<std::size_t>(a)] =
-        checked_sub(checked_mul(g.weight(a), den), checked_mul(num, t));
+    if constexpr (std::is_same_v<Cost, std::int64_t>) {
+      cost[static_cast<std::size_t>(a)] =
+          checked_sub(checked_mul(g.weight(a), value.den()), checked_mul(value.num(), t));
+    } else {
+      cost[static_cast<std::size_t>(a)] = static_cast<int128>(g.weight(a)) * value.den() -
+                                          static_cast<int128>(value.num()) * t;
+    }
   }
   return cost;
 }
 
-std::vector<int128> lambda_costs_wide(const Graph& g, const Rational& value,
-                                      ProblemKind kind) {
-  std::vector<int128> cost(static_cast<std::size_t>(g.num_arcs()));
-  const int128 num = value.num();
-  const int128 den = value.den();
+/// Arcs with dist[v] == dist[u] + cost; the sum is taken in 128 bits so
+/// an int64 pair never wraps.
+template <typename Dist, typename Cost>
+std::vector<ArcId> tight_arcs(const Graph& g, const std::vector<Dist>& dist,
+                              const std::vector<Cost>& cost) {
+  std::vector<ArcId> out;
   for (ArcId a = 0; a < g.num_arcs(); ++a) {
-    const int128 t = kind == ProblemKind::kCycleMean ? 1 : g.transit(a);
-    cost[static_cast<std::size_t>(a)] = g.weight(a) * den - num * t;
+    if (static_cast<int128>(dist[static_cast<std::size_t>(g.src(a))]) +
+            cost[static_cast<std::size_t>(a)] ==
+        dist[static_cast<std::size_t>(g.dst(a))]) {
+      out.push_back(a);
+    }
   }
-  return cost;
+  return out;
+}
+
+template <typename Cost>
+LambdaProbe probe(const Graph& g, const Rational& value, ProblemKind kind,
+                  OpCounters* counters, const TileExec& tiles) {
+  const std::vector<Cost> cost = transformed_costs<Cost>(g, value, kind);
+  auto bf = [&] {
+    if constexpr (std::is_same_v<Cost, std::int64_t>) {
+      return bellman_ford_all(g, cost, counters, tiles);
+    } else {
+      return detail::run_bellman_ford<int128>(g, std::span<const int128>(cost), counters,
+                                              tiles);
+    }
+  }();
+  LambdaProbe out;
+  out.has_negative_cycle = bf.has_negative_cycle;
+  if (bf.has_negative_cycle) {
+    out.cycle = std::move(bf.cycle);
+  } else {
+    out.critical_arcs = tight_arcs(g, bf.dist, cost);
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<std::int64_t> lambda_costs(const Graph& g, const Rational& value,
+                                       ProblemKind kind) {
+  return transformed_costs<std::int64_t>(g, value, kind);
+}
+
+LambdaProbe lambda_probe(const Graph& g, const Rational& value, ProblemKind kind,
+                         OpCounters* counters, const TileExec& tiles) {
+  try {
+    return probe<std::int64_t>(g, value, kind, counters, tiles);
+  } catch (const NumericOverflow&) {
+    // A transformed cost or a potential left int64: the whole test
+    // repeats in 128-bit costs rather than continuing on a wrapped value.
+    if (counters != nullptr) ++counters->numeric_promotions;
+    return probe<int128>(g, value, kind, counters, tiles);
+  }
+}
+
+void refine_to_exact(const Graph& g, ProblemKind kind, Rational& value,
+                     std::vector<ArcId>& cycle, OpCounters& counters,
+                     const TileExec& tiles) {
+  for (;;) {
+    ++counters.feasibility_checks;
+    obs::emit(obs::EventKind::kFeasibilityProbe, "refine.probe",
+              static_cast<std::int64_t>(counters.feasibility_checks));
+    LambdaProbe probe = lambda_probe(g, value, kind, &counters, tiles);
+    if (!probe.has_negative_cycle) return;
+    cycle = std::move(probe.cycle);
+    value = cycle_value(g, kind, cycle);
+  }
 }
 
 CriticalSubgraph critical_subgraph(const Graph& g, const Rational& value,
@@ -44,17 +114,12 @@ CriticalSubgraph critical_subgraph(const Graph& g, const Rational& value,
         "critical_subgraph: value exceeds the optimum (negative cycle exists)");
   }
   CriticalSubgraph out;
+  out.arcs = tight_arcs(g, bf.dist, cost);
   out.scaled_potential = std::move(bf.dist);
   std::vector<bool> node_critical(static_cast<std::size_t>(g.num_nodes()), false);
-  for (ArcId a = 0; a < g.num_arcs(); ++a) {
-    const NodeId u = g.src(a);
-    const NodeId v = g.dst(a);
-    if (out.scaled_potential[static_cast<std::size_t>(v)] ==
-        out.scaled_potential[static_cast<std::size_t>(u)] + cost[static_cast<std::size_t>(a)]) {
-      out.arcs.push_back(a);
-      node_critical[static_cast<std::size_t>(u)] = true;
-      node_critical[static_cast<std::size_t>(v)] = true;
-    }
+  for (const ArcId a : out.arcs) {
+    node_critical[static_cast<std::size_t>(g.src(a))] = true;
+    node_critical[static_cast<std::size_t>(g.dst(a))] = true;
   }
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (node_critical[static_cast<std::size_t>(v)]) out.nodes.push_back(v);
@@ -105,8 +170,12 @@ std::vector<ArcId> optimal_arc_set(const Graph& g, const Rational& value,
 
 std::vector<ArcId> extract_optimal_cycle(const Graph& g, const Rational& value,
                                          ProblemKind kind) {
-  const CriticalSubgraph crit = critical_subgraph(g, value, kind);
-  std::vector<ArcId> cycle = find_any_cycle(g, crit.arcs);
+  const LambdaProbe at_value = lambda_probe(g, value, kind);
+  if (at_value.has_negative_cycle) {
+    throw std::invalid_argument(
+        "extract_optimal_cycle: value exceeds the optimum (negative cycle exists)");
+  }
+  std::vector<ArcId> cycle = find_any_cycle(g, at_value.critical_arcs);
   if (cycle.empty()) {
     throw std::invalid_argument(
         "extract_optimal_cycle: no cycle in the critical subgraph (value below optimum?)");

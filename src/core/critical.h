@@ -12,8 +12,9 @@
 #include <vector>
 
 #include "core/problem.h"
+#include "graph/arc_tiles.h"
 #include "graph/graph.h"
-#include "support/int128.h"
+#include "support/op_counters.h"
 #include "support/rational.h"
 
 namespace mcr {
@@ -66,15 +67,47 @@ struct CriticalSubgraph {
 /// problems. A cycle is negative under these costs iff its mean/ratio is
 /// below `value`. The products are overflow-checked: throws
 /// NumericOverflow (support/checked.h) when a transformed cost does not
-/// fit int64; callers then rebuild with lambda_costs_wide and re-probe
-/// in 128-bit arithmetic.
+/// fit int64; lambda_probe then repeats its test in 128-bit arithmetic.
 [[nodiscard]] std::vector<std::int64_t> lambda_costs(const Graph& g, const Rational& value,
                                                      ProblemKind kind);
 
-/// 128-bit variant of lambda_costs for the numeric promotion path; never
-/// overflows (|w|,|num|,|den|,|t| < 2^63 so |cost| < 2^127).
-[[nodiscard]] std::vector<int128> lambda_costs_wide(const Graph& g, const Rational& value,
-                                                    ProblemKind kind);
+/// The outcome of lambda_probe.
+struct LambdaProbe {
+  /// True iff some cycle's mean/ratio is below `value`.
+  bool has_negative_cycle = false;
+  /// That negative cycle, in traversal order, when has_negative_cycle.
+  std::vector<ArcId> cycle;
+  /// Otherwise: the critical arcs, tight under shortest-path potentials
+  /// of G_value (every cycle among them achieves `value`).
+  std::vector<ArcId> critical_arcs;
+};
+
+/// The lambda-probe: the negative-cycle test of G_value under
+/// lambda_costs, by Bellman-Ford. It runs in int64 first and repeats
+/// wholesale in int128, counting one numeric promotion in `counters`,
+/// when a cost or a potential leaves int64. `tiles` spreads the
+/// relaxation sweeps across a pool (graph/arc_tiles.h) without changing
+/// the outcome.
+[[nodiscard]] LambdaProbe lambda_probe(const Graph& g, const Rational& value,
+                                       ProblemKind kind, OpCounters* counters = nullptr,
+                                       const TileExec& tiles = {});
+
+/// Exact cycle-canceling refinement: given a candidate (value, cycle)
+/// where `cycle` is a real cycle achieving `value`, repeatedly test
+/// G_value for a negative cycle and adopt it until none exists. On
+/// return (value, cycle) is the exact optimum with an exact witness.
+///
+/// The iterative solvers that do floating-point work internally (Burns,
+/// Lawler, OA1) finish with this pass so that every solver in the
+/// library returns exact rationals; it converges in one Bellman-Ford
+/// check when the float phase already found the optimum (the common
+/// case), and each extra round strictly decreases the candidate value.
+/// `tiles` spreads the Bellman-Ford probes' relaxation sweeps across
+/// the driver's worker pool (graph/arc_tiles.h); the default keeps
+/// them serial. The outcome is identical either way.
+void refine_to_exact(const Graph& g, ProblemKind kind, Rational& value,
+                     std::vector<ArcId>& cycle, OpCounters& counters,
+                     const TileExec& tiles = {});
 
 }  // namespace mcr
 

@@ -18,36 +18,27 @@ std::int64_t cycle_transit(const Graph& g, const std::vector<ArcId>& cycle) {
   return t;
 }
 
-namespace {
-
-// Witness sums must stay exact for adversarial weights: a cycle of m
-// arcs bounds the int128 sum by m * INT64_MAX, far inside int128 range,
-// so the mean/ratio helpers sum wide and reduce through from_int128.
-int128 cycle_weight_wide(const Graph& g, const std::vector<ArcId>& cycle) {
+Rational cycle_value(const Graph& g, ProblemKind kind, const std::vector<ArcId>& cycle) {
+  if (cycle.empty()) throw std::invalid_argument("cycle_value: empty cycle");
+  // Witness sums must stay exact for adversarial weights: a cycle of m
+  // arcs bounds the int128 sums by m * INT64_MAX, far inside int128
+  // range, so both sum wide and reduce through from_int128.
   int128 w = 0;
-  for (const ArcId a : cycle) w += g.weight(a);
-  return w;
-}
-
-int128 cycle_transit_wide(const Graph& g, const std::vector<ArcId>& cycle) {
   int128 t = 0;
-  for (const ArcId a : cycle) t += g.transit(a);
-  return t;
+  for (const ArcId a : cycle) {
+    w += g.weight(a);
+    t += kind == ProblemKind::kCycleMean ? 1 : g.transit(a);
+  }
+  if (t <= 0) throw std::invalid_argument("cycle_value: non-positive cycle transit");
+  return Rational::from_int128(w, t);
 }
-
-}  // namespace
 
 Rational cycle_mean(const Graph& g, const std::vector<ArcId>& cycle) {
-  if (cycle.empty()) throw std::invalid_argument("cycle_mean: empty cycle");
-  return Rational::from_int128(cycle_weight_wide(g, cycle),
-                               static_cast<int128>(cycle.size()));
+  return cycle_value(g, ProblemKind::kCycleMean, cycle);
 }
 
 Rational cycle_ratio(const Graph& g, const std::vector<ArcId>& cycle) {
-  if (cycle.empty()) throw std::invalid_argument("cycle_ratio: empty cycle");
-  const int128 t = cycle_transit_wide(g, cycle);
-  if (t <= 0) throw std::invalid_argument("cycle_ratio: non-positive cycle transit");
-  return Rational::from_int128(cycle_weight_wide(g, cycle), t);
+  return cycle_value(g, ProblemKind::kCycleRatio, cycle);
 }
 
 bool is_valid_cycle(const Graph& g, const std::vector<ArcId>& cycle) {

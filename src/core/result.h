@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "core/problem.h"
 #include "graph/graph.h"
 #include "support/op_counters.h"
 #include "support/rational.h"
@@ -41,6 +42,9 @@ struct CycleResult {
 /// rather than wrap when the sum leaves int64 range.
 [[nodiscard]] Rational cycle_mean(const Graph& g, const std::vector<ArcId>& cycle);
 [[nodiscard]] Rational cycle_ratio(const Graph& g, const std::vector<ArcId>& cycle);
+/// cycle_mean for kCycleMean, cycle_ratio for kCycleRatio.
+[[nodiscard]] Rational cycle_value(const Graph& g, ProblemKind kind,
+                                   const std::vector<ArcId>& cycle);
 [[nodiscard]] std::int64_t cycle_weight(const Graph& g, const std::vector<ArcId>& cycle);
 [[nodiscard]] std::int64_t cycle_transit(const Graph& g, const std::vector<ArcId>& cycle);
 

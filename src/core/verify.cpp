@@ -4,9 +4,7 @@
 #include <vector>
 
 #include "core/critical.h"
-#include "graph/bellman_ford.h"
 #include "graph/traversal.h"
-#include "support/checked.h"
 
 namespace mcr {
 
@@ -21,9 +19,7 @@ VerifyOutcome check_witness(const Graph& g, const CycleResult& result, ProblemKi
   }
   if (!has_cycle(g)) return fail("result reports a cycle but the graph is acyclic");
   if (!is_valid_cycle(g, result.cycle)) return fail("witness is not a valid cycle");
-  const Rational achieved = kind == ProblemKind::kCycleMean
-                                ? cycle_mean(g, result.cycle)
-                                : cycle_ratio(g, result.cycle);
+  const Rational achieved = cycle_value(g, kind, result.cycle);
   if (achieved != result.value) {
     return fail("witness cycle achieves " + achieved.to_string() + ", result claims " +
                 result.value.to_string());
@@ -36,20 +32,11 @@ VerifyOutcome check_witness(const Graph& g, const CycleResult& result, ProblemKi
 VerifyOutcome verify_result(const Graph& g, const CycleResult& result, ProblemKind kind) {
   VerifyOutcome w = check_witness(g, result, kind);
   if (!w.ok || !result.has_cycle) return w;
-  // Optimality: no cycle in G_value is negative. The narrow lambda
-  // transform throws once w*den - num*t leaves int64; the verifier must
-  // stay exact for exactly those adversarial instances, so it re-checks
-  // with 128-bit costs instead of giving up.
-  try {
-    const std::vector<std::int64_t> cost = lambda_costs(g, result.value, kind);
-    if (has_negative_cycle(g, cost)) {
-      return fail("a cycle better than " + result.value.to_string() + " exists");
-    }
-  } catch (const NumericOverflow&) {
-    const std::vector<int128> cost = lambda_costs_wide(g, result.value, kind);
-    if (bellman_ford_all_wide(g, cost).has_negative_cycle) {
-      return fail("a cycle better than " + result.value.to_string() + " exists");
-    }
+  // Optimality: no cycle in G_value is negative. The probe repeats in
+  // 128-bit costs once w*den - num*t leaves int64, so the verifier stays
+  // exact on exactly those adversarial instances.
+  if (lambda_probe(g, result.value, kind).has_negative_cycle) {
+    return fail("a cycle better than " + result.value.to_string() + " exists");
   }
   return VerifyOutcome{true, {}};
 }

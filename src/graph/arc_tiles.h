@@ -2,13 +2,14 @@
 //
 // The PR 1 driver parallelizes across SCCs only, so a single giant SCC
 // (the common SPRAND shape) serializes the whole solve. The relaxation
-// loops at the heart of Bellman-Ford, Karp, Karp2 and Howard's improve
-// step are all the same shape — "for every node v, fold a min over v's
-// (in- or out-) CSR positions, then conditionally update v" — and that
-// shape tiles: ArcTilePartition splits a CSR position range [0, m) into
-// tiles of at most `target_arcs` positions each. A tile may start or
-// end in the middle of a high-degree node's position range (katana's
-// deltaTile idea), so one hub node never serializes a wave.
+// loops at the heart of Bellman-Ford, the Karp family's level sweep
+// (Karp, Karp2, HO) and Howard's improve step are all the same shape —
+// "for every node v, fold a min over v's (in- or out-) CSR positions,
+// then conditionally update v" — and that shape tiles: ArcTilePartition
+// splits a CSR position range [0, m) into tiles of at most
+// `target_arcs` positions each. A tile may start or end in the middle
+// of a high-degree node's position range (katana's deltaTile idea), so
+// one hub node never serializes a wave.
 //
 // Determinism contract (matches the PR 1 driver contract): a tiled
 // sweep produces bit-identical results for ANY tile size and ANY thread

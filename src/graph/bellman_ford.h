@@ -18,12 +18,13 @@
 
 #include "graph/arc_tiles.h"
 #include "graph/graph.h"
-#include "support/int128.h"
 #include "support/op_counters.h"
 
 namespace mcr {
 
-struct BellmanFordResult {
+/// Bellman-Ford's answer, with potentials of type Dist.
+template <typename Dist>
+struct BellmanFordResultOf {
   bool has_negative_cycle = false;
   /// When a negative cycle exists: its arcs in traversal order
   /// (dst of cycle[i] == src of cycle[i+1], cyclically).
@@ -31,8 +32,11 @@ struct BellmanFordResult {
   /// When no negative cycle: dist[v] = shortest distance from the
   /// virtual super-source (all nodes start at 0), i.e. a feasible
   /// potential: dist[dst] <= dist[src] + cost for every arc.
-  std::vector<std::int64_t> dist;
+  std::vector<Dist> dist;
 };
+
+using BellmanFordResult = BellmanFordResultOf<std::int64_t>;
+using BellmanFordRealResult = BellmanFordResultOf<double>;
 
 /// Runs Bellman-Ford over g with per-arc costs `cost` (size == num_arcs),
 /// from a virtual super-source connected to every node with cost 0.
@@ -50,27 +54,6 @@ struct BellmanFordResult {
                                                  OpCounters* counters = nullptr,
                                                  const TileExec& tiles = {});
 
-struct BellmanFordWideResult {
-  bool has_negative_cycle = false;
-  std::vector<ArcId> cycle;
-};
-
-/// 128-bit-cost variant for the numeric promotion path: when the checked
-/// int64 recurrence overflows (e.g. lambda-transformed costs w*den-num*t
-/// with large weights), callers rebuild the costs in int128 and re-probe
-/// here. Only the negative-cycle verdict and witness are returned; wide
-/// potentials have no int64 consumer.
-[[nodiscard]] BellmanFordWideResult bellman_ford_all_wide(const Graph& g,
-                                                          std::span<const int128> cost,
-                                                          OpCounters* counters = nullptr,
-                                                          const TileExec& tiles = {});
-
-struct BellmanFordRealResult {
-  bool has_negative_cycle = false;
-  std::vector<ArcId> cycle;
-  std::vector<double> dist;
-};
-
 /// Floating-point variant for the binary-search solvers (Lawler, OA1),
 /// whose probes use real-valued lambda-transformed costs. Cycles found
 /// are exact witnesses (their true integer mean is computed by the
@@ -79,11 +62,6 @@ struct BellmanFordRealResult {
                                                           std::span<const double> cost,
                                                           OpCounters* counters = nullptr,
                                                           const TileExec& tiles = {});
-
-/// Convenience: true iff g with costs `cost` has a negative cycle.
-[[nodiscard]] bool has_negative_cycle(const Graph& g, std::span<const std::int64_t> cost,
-                                      OpCounters* counters = nullptr,
-                                      const TileExec& tiles = {});
 
 }  // namespace mcr
 

@@ -1,5 +1,6 @@
 #include "graph/traversal.h"
 
+#include <numeric>
 #include <stdexcept>
 
 namespace mcr {
@@ -129,6 +130,12 @@ std::vector<ArcId> find_any_cycle(const Graph& g, std::span<const ArcId> arc_sub
     }
   }
   return {};
+}
+
+std::vector<ArcId> find_any_cycle(const Graph& g) {
+  std::vector<ArcId> all(static_cast<std::size_t>(g.num_arcs()));
+  std::iota(all.begin(), all.end(), ArcId{0});
+  return find_any_cycle(g, all);
 }
 
 }  // namespace mcr

@@ -31,6 +31,10 @@ namespace mcr {
 [[nodiscard]] std::vector<ArcId> find_any_cycle(const Graph& g,
                                                 std::span<const ArcId> arc_subset);
 
+/// find_any_cycle over all of g's arcs: the start cycle of the solvers
+/// that descend from any cycle to the optimum.
+[[nodiscard]] std::vector<ArcId> find_any_cycle(const Graph& g);
+
 }  // namespace mcr
 
 #endif  // MCR_GRAPH_TRAVERSAL_H

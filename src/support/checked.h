@@ -4,12 +4,22 @@
 // sums; with adversarial weights those silently wrap in plain int64 and
 // the solver returns a *wrong* optimum, not a crash (the value-range
 // concern Bringmann–Hansen–Krinninger and Chatterjee et al. both flag
-// as the binding constraint for cycle-ratio computation). Every integer
-// recurrence in this library therefore runs on checked_add / CheckedI64
-// first; on the first overflow the caller catches NumericOverflow and
-// transparently re-solves in int128 (see karp.cpp, bellman_ford.cpp,
-// detail.cpp), counting the promotion in
-// OpCounters::numeric_promotions → mcr_numeric_promotions_total.
+// as the binding constraint for cycle-ratio computation). The library
+// stays exact in one of two ways; solvers count their switches to int128
+// in OpCounters::numeric_promotions → mcr_numeric_promotions_total:
+//   * checked first: Bellman-Ford sums run on CheckedI64 and the lambda
+//     transform (lambda_costs) on checked_mul/checked_sub; the first
+//     overflow throws NumericOverflow and the caller repeats the work in
+//     int128 (bellman_ford.cpp, and the lambda-probe in core/critical.cpp
+//     behind refine_to_exact, verify_result, Megiddo's oracle and
+//     witness extraction);
+//   * width chosen up front: the Karp family (algo/karp_family.h) bounds
+//     every table entry from n, T and max|w| before the first level and
+//     runs in int128 when int64 cannot hold the bound, with no per-sum
+//     check.
+// Howard, YTO and KO (and their ratio variants) do neither yet: their
+// recurrences run in plain int64 (docs/ROBUSTNESS.md, "Numeric
+// robustness").
 //
 // The checks compile to a flags test via __builtin_*_overflow — no
 // measurable cost next to the memory traffic of the recurrences.

@@ -33,8 +33,9 @@ class Rational {
 
   /// The rational n/d from 128-bit parts: reduces in 128 bits first and
   /// throws NumericOverflow only when the *reduced* fraction still does
-  /// not fit in int64. The promotion paths (Karp's wide re-solve,
-  /// exact_cycle_value) build their final values through this.
+  /// not fit in int64. Karp's formula (algo/karp_family.h) and the
+  /// 128-bit cycle sums of cycle_mean/cycle_ratio build their values
+  /// through this.
   [[nodiscard]] static Rational from_int128(int128 n, int128 d);
 
   [[nodiscard]] constexpr std::int64_t num() const { return num_; }

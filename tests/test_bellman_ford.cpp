@@ -65,7 +65,7 @@ TEST(BellmanFord, NegativeSelfLoop) {
 
 TEST(BellmanFord, ZeroCycleIsNotNegative) {
   const Graph g = gen::ring({2, -1, -1});
-  EXPECT_FALSE(has_negative_cycle(g, weights_as_costs(g)));
+  EXPECT_FALSE(bellman_ford_all(g, weights_as_costs(g)).has_negative_cycle);
 }
 
 TEST(BellmanFord, FindsDeepNegativeCycle) {

@@ -162,14 +162,79 @@ TEST(Checked, RationalFromInt128RoundTrips) {
 
 TEST(Promotion, KarpPromotesAndStaysExact) {
   constexpr std::int64_t kHuge = 3'000'000'000'000'000'000;  // ~ INT64_MAX / 3
+  // The Karp family on a 4-ring whose level sums leave int64, both signs.
+  for (const std::int64_t w : {kHuge, -kHuge}) {
+    GraphBuilder b(4);
+    for (NodeId u = 0; u < 4; ++u) b.add_arc(u, (u + 1) % 4, w);
+    const Graph g = b.build();
+    for (const std::string name : {"karp", "karp2", "dg", "ho"}) {
+      const auto solver = SolverRegistry::instance().create(name);
+      const CycleResult r = minimum_cycle_mean(g, *solver);
+      ASSERT_TRUE(r.has_cycle) << name << " w=" << w;
+      EXPECT_EQ(r.value, Rational(w, 1)) << name << " w=" << w;
+      const auto cert = verify_result(g, r, ProblemKind::kCycleMean);
+      EXPECT_TRUE(cert.ok) << name << " w=" << w << ": " << cert.message;
+      EXPECT_GT(r.counters.numeric_promotions, 0u) << name << " w=" << w;
+    }
+  }
+  // Hartmann-Orlin's ratio table on the same ring with transits 2,3,1,2.
+  for (const std::int64_t w : {kHuge, -kHuge}) {
+    GraphBuilder b(4);
+    const std::int64_t transit[] = {2, 3, 1, 2};
+    for (NodeId u = 0; u < 4; ++u) b.add_arc(u, (u + 1) % 4, w, transit[u]);
+    const Graph g = b.build();
+    const auto solver = SolverRegistry::instance().create("ho_ratio");
+    const CycleResult r = minimum_cycle_ratio(g, *solver);
+    ASSERT_TRUE(r.has_cycle) << "w=" << w;
+    EXPECT_EQ(r.value, Rational(w / 2, 1)) << "w=" << w;
+    const auto cert = verify_result(g, r, ProblemKind::kCycleRatio);
+    EXPECT_TRUE(cert.ok) << "w=" << w << ": " << cert.message;
+    EXPECT_GT(r.counters.numeric_promotions, 0u) << "w=" << w;
+  }
+}
+
+TEST(Promotion, KarpWidthRuleBoundary) {
+  // Karp picks its table width from n * max|w| against the int64 "no
+  // walk" sentinel INT64_MAX / 4: a 6-ring whose level-6 sum lands one
+  // below the sentinel stays int64, the next weight up promotes, and
+  // both give the exact mean with the whole ring as witness.
+  constexpr std::int64_t kSentinel = std::numeric_limits<std::int64_t>::max() / 4;
+  constexpr std::int64_t kBelow = (kSentinel - 1) / 6;
+  static_assert(6 * kBelow == kSentinel - 1);
+  const std::vector<ArcId> ring = {0, 1, 2, 3, 4, 5};
+  for (const std::int64_t w : {kBelow, kBelow + 1}) {
+    GraphBuilder b(6);
+    for (NodeId u = 0; u < 6; ++u) b.add_arc(u, (u + 1) % 6, w);
+    const Graph g = b.build();
+    const auto solver = SolverRegistry::instance().create("karp");
+    const CycleResult r = minimum_cycle_mean(g, *solver);
+    ASSERT_TRUE(r.has_cycle) << "w=" << w;
+    EXPECT_EQ(r.value, Rational(w, 1)) << "w=" << w;
+    EXPECT_EQ(r.cycle, ring) << "w=" << w;
+    EXPECT_TRUE(verify_result(g, r, ProblemKind::kCycleMean).ok) << "w=" << w;
+    EXPECT_EQ(r.counters.numeric_promotions, w == kBelow ? 0u : 1u) << "w=" << w;
+  }
+}
+
+TEST(Promotion, KarpFamilyWitnessWhenLambdaCostsLeaveInt64) {
+  // The optimum 9000000000000000001/3 sits on the 3-cycle; at that value
+  // the 2-cycle's arcs transform to 4e18 * 3 - num, beyond int64, so the
+  // witness probe must repeat in 128-bit costs.
   GraphBuilder b(4);
-  for (NodeId u = 0; u < 4; ++u) b.add_arc(u, (u + 1) % 4, kHuge);
+  b.add_arc(0, 1, 3'000'000'000'000'000'000);
+  b.add_arc(1, 2, 3'000'000'000'000'000'000);
+  b.add_arc(2, 0, 3'000'000'000'000'000'001);
+  b.add_arc(0, 3, 4'000'000'000'000'000'000);
+  b.add_arc(3, 0, 4'000'000'000'000'000'000);
   const Graph g = b.build();
-  const auto solver = SolverRegistry::instance().create("karp");
-  const CycleResult r = minimum_cycle_mean(g, *solver);
-  ASSERT_TRUE(r.has_cycle);
-  EXPECT_EQ(r.value, Rational(kHuge, 1));
-  EXPECT_GT(r.counters.numeric_promotions, 0u);
+  for (const std::string name : {"karp", "karp2", "dg", "ho"}) {
+    const auto solver = SolverRegistry::instance().create(name);
+    const CycleResult r = minimum_cycle_mean(g, *solver);
+    ASSERT_TRUE(r.has_cycle) << name;
+    EXPECT_EQ(r.value, Rational(9'000'000'000'000'000'001, 3)) << name;
+    const auto cert = verify_result(g, r, ProblemKind::kCycleMean);
+    EXPECT_TRUE(cert.ok) << name << ": " << cert.message;
+  }
 }
 
 TEST(Promotion, VerifierStaysExactOnHugeWitness) {

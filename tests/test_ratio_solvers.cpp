@@ -3,6 +3,9 @@
 // brute-force ratio oracle.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
 #include "core/driver.h"
 #include "core/registry.h"
 #include "core/verify.h"
@@ -149,6 +152,16 @@ TEST(MaxRatio, IterationBoundStyle) {
   const auto r = maximum_cycle_ratio(b.build(), "howard_ratio");
   ASSERT_TRUE(r.has_cycle);
   EXPECT_EQ(r.value, Rational(8));
+}
+
+// Hartmann-Orlin's table has (T+1)*n entries; a transit total that would
+// need 2^31 or more of them is refused up front rather than allocated
+// (or, with T near 2^63, indexed past a wrapped size).
+TEST(HoRatio, RejectsOversizedTransitTable) {
+  GraphBuilder b(2);
+  b.add_arc(0, 1, 1, std::int64_t{1} << 40);
+  b.add_arc(1, 0, 1, 1);
+  EXPECT_THROW((void)minimum_cycle_ratio(b.build(), "ho_ratio"), std::invalid_argument);
 }
 
 }  // namespace

@@ -161,7 +161,7 @@ std::vector<Graph> tiling_instances(bool ratio) {
 
 TEST(TiledKernels, BitIdenticalAcrossTileSizesAndThreadsMean) {
   const auto graphs = tiling_instances(/*ratio=*/false);
-  for (const std::string name : {"karp", "karp2", "howard", "lawler"}) {
+  for (const std::string name : {"karp", "karp2", "ho", "howard", "lawler"}) {
     const auto solver = SolverRegistry::instance().create(name);
     for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
       const CycleResult reference = minimum_cycle_mean(graphs[gi], *solver);

@@ -51,14 +51,15 @@ fi
 if [[ "$UPDATE_BASELINE" == 1 ]]; then
   # THE baseline recipe: a tiny sprand grid that finishes in seconds on
   # any machine, covering the tiled solver families (Bellman-Ford via
-  # lawler, the Karp table fills, Howard) with threading + tiling on so
-  # the gate also exercises the parallel paths. ci.sh reruns this exact
+  # lawler, the whole Karp family, Howard) with tiling on. It runs on one
+  # thread: on a host with fewer CPUs than threads a threaded run
+  # measures oversubscription, not the kernels. ci.sh reruns this exact
   # recipe for its candidate artifact; change it only together with a
   # freshly regenerated committed baseline.
   OUT_FILE="${2:-BENCH_baseline.json}"
   MCR_BENCH_SCALE=small "$BENCH" --name baseline --workload sprand \
-      --solvers howard,karp,karp2,lawler --max-n 256 \
-      --trials "$TRIALS" --threads 2 --tile-arcs 1024 --out "$OUT_FILE"
+      --solvers howard,karp,karp2,lawler,dg,ho --max-n 256 \
+      --trials "$TRIALS" --threads 1 --tile-arcs 1024 --out "$OUT_FILE"
   echo "baseline written to $OUT_FILE"
   exit 0
 fi
