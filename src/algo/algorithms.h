@@ -44,7 +44,8 @@ std::unique_ptr<Solver> make_lawler_improved_solver(const SolverConfig& config =
 /// Fig. 1 min-weight-arc initialization (for the A2 ablation).
 std::unique_ptr<Solver> make_howard_naive_init_solver(const SolverConfig& config = {});
 /// Cycle canceling: the simplest correct baseline (repeated negative-
-/// cycle detection); also the engine behind refine_to_exact (core/critical.h).
+/// cycle detection); the shared exact finish (finish_exact,
+/// core/critical.h) started from any cycle.
 std::unique_ptr<Solver> make_cycle_cancel_solver(ProblemKind kind);
 /// Megiddo's parametric search (Table 1 #12): symbolic Bellman-Ford
 /// with an exact feasibility oracle at line-crossing points.

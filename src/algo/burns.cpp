@@ -20,8 +20,8 @@
 // Arithmetic: the (lambda, d) trajectory has unboundedly growing exact
 // denominators, so the iteration runs in doubles; the final answer is
 // snapped to the exact mean of the detected critical cycle and then
-// certified/corrected by refine_to_exact, so the solver's
-// results are exact like every other solver in the library.
+// certified/corrected by finish_exact, so the solver's results are
+// exact like every other solver in the library.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -54,10 +54,6 @@ class BurnsSolver final : public Solver {
     const ArcId m = g.num_arcs();
     CycleResult result;
 
-    const auto transit = [&](ArcId a) {
-      return kind_ == ProblemKind::kCycleMean ? std::int64_t{1} : g.transit(a);
-    };
-
     // Feasible start: lambda0 low enough that d = 0 works, or Bellman-
     // Ford potentials when zero-transit negative arcs make d = 0
     // infeasible for every lambda.
@@ -65,7 +61,7 @@ class BurnsSolver final : public Solver {
     double lambda = std::numeric_limits<double>::infinity();
     bool need_bf_init = false;
     for (ArcId a = 0; a < m; ++a) {
-      const std::int64_t t = transit(a);
+      const std::int64_t t = arc_transit(g, kind_, a);
       if (t > 0) {
         lambda = std::min(lambda, static_cast<double>(g.weight(a)) /
                                       static_cast<double>(t));
@@ -80,8 +76,8 @@ class BurnsSolver final : public Solver {
                1.0;
       std::vector<double> cost(static_cast<std::size_t>(m));
       for (ArcId a = 0; a < m; ++a) {
-        cost[static_cast<std::size_t>(a)] =
-            static_cast<double>(g.weight(a)) - lambda * static_cast<double>(transit(a));
+        cost[static_cast<std::size_t>(a)] = static_cast<double>(g.weight(a)) -
+                                            lambda * static_cast<double>(arc_transit(g, kind_, a));
       }
       BellmanFordRealResult bf = bellman_ford_all_real(g, cost, &result.counters);
       d = std::move(bf.dist);
@@ -91,9 +87,7 @@ class BurnsSolver final : public Solver {
     // computations carry rounding error ~ eps * |w| * n. Misclassifying
     // an arc costs only iterations (the final exact refinement repairs
     // the value), so a modest overestimate is safe.
-    const double wscale = std::max<double>(
-        1.0, std::max(std::abs(static_cast<double>(g.min_weight())),
-                      std::abs(static_cast<double>(g.max_weight()))));
+    const double wscale = std::max(1.0, static_cast<double>(max_abs_weight(g)));
     const double tol = std::max(1e-8, 1e-13 * wscale * static_cast<double>(n));
     std::vector<ArcId> critical;
     std::vector<std::int64_t> theta(un);
@@ -115,7 +109,7 @@ class BurnsSolver final : public Solver {
         ++result.counters.arc_scans;
         const double slack = d[static_cast<std::size_t>(g.src(a))] +
                              static_cast<double>(g.weight(a)) -
-                             lambda * static_cast<double>(transit(a)) -
+                             lambda * static_cast<double>(arc_transit(g, kind_, a)) -
                              d[static_cast<std::size_t>(g.dst(a))];
         if (slack <= tol) critical.push_back(a);
       }
@@ -151,7 +145,7 @@ class BurnsSolver final : public Solver {
           const NodeId v = g.dst(a);
           theta[static_cast<std::size_t>(v)] =
               std::max(theta[static_cast<std::size_t>(v)],
-                       theta[static_cast<std::size_t>(u)] + transit(a));
+                       theta[static_cast<std::size_t>(u)] + arc_transit(g, kind_, a));
           if (--indeg[static_cast<std::size_t>(v)] == 0) topo.push_back(v);
         }
       }
@@ -159,13 +153,13 @@ class BurnsSolver final : public Solver {
       // (4) Largest feasible step.
       double delta = std::numeric_limits<double>::infinity();
       for (ArcId a = 0; a < m; ++a) {
-        const double coef =
-            static_cast<double>(theta[static_cast<std::size_t>(g.src(a))] + transit(a) -
-                                theta[static_cast<std::size_t>(g.dst(a))]);
+        const double coef = static_cast<double>(theta[static_cast<std::size_t>(g.src(a))] +
+                                                arc_transit(g, kind_, a) -
+                                                theta[static_cast<std::size_t>(g.dst(a))]);
         if (coef <= 0) continue;
         const double slack = d[static_cast<std::size_t>(g.src(a))] +
                              static_cast<double>(g.weight(a)) -
-                             lambda * static_cast<double>(transit(a)) -
+                             lambda * static_cast<double>(arc_transit(g, kind_, a)) -
                              d[static_cast<std::size_t>(g.dst(a))];
         delta = std::min(delta, std::max(0.0, slack) / coef);
       }
@@ -179,15 +173,9 @@ class BurnsSolver final : public Solver {
       static_cast<void>(epsilon_);
     }
 
-    if (cycle.empty()) {
-      // Iteration cap or a degenerate step: fall back to any real cycle
-      // and let the exact refinement descend to the optimum.
-      cycle = find_any_cycle(g);
-    }
-    result.value = cycle_value(g, kind_, cycle);
-    result.cycle = std::move(cycle);
-    refine_to_exact(g, kind_, result.value, result.cycle, result.counters);
-    result.has_cycle = true;
+    // An empty cycle (iteration cap or a degenerate step) starts the
+    // exact finish from any real cycle.
+    finish_exact(g, kind_, std::move(cycle), result);
     return result;
   }
 

@@ -8,14 +8,15 @@
 // Bellman-Ford pass proves no better cycle exists). Worst case is
 // pseudopolynomial like Lawler's, but on the study's workloads it
 // converges in a handful of rounds — a useful sanity baseline when
-// comparing against the sophisticated algorithms, and the engine behind
-// refine_to_exact that keeps every approximate solver exact.
+// comparing against the sophisticated algorithms. The solver is the
+// shared exact finish (finish_exact, core/critical.h) started from any
+// cycle; every other solver ends in the same finish when it stops early
+// or when its int64 recurrence is out of range.
 #include <vector>
 
 #include "algo/algorithms.h"
 #include "core/critical.h"
 #include "core/result.h"
-#include "graph/traversal.h"
 
 namespace mcr {
 
@@ -32,11 +33,8 @@ class CycleCancelSolver final : public Solver {
 
   [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
     CycleResult result;
-    result.cycle = find_any_cycle(g);
-    result.value = cycle_value(g, kind_, result.cycle);
-    refine_to_exact(g, kind_, result.value, result.cycle, result.counters);
+    finish_exact(g, kind_, {}, result);
     result.counters.iterations = result.counters.feasibility_checks;
-    result.has_cycle = true;
     return result;
   }
 

@@ -108,7 +108,7 @@ class DgSolver final : public Solver {
     const NodeId n = g.num_nodes();
     CycleResult result;
     // Every arena entry is the weight of a walk of at most n arcs.
-    const auto value = detail::with_table_width(g, n, result.counters, [&](auto zero) {
+    const auto value = with_width(n * max_abs_weight(g), &result.counters, [&](auto zero) {
       return dg_value<decltype(zero)>(g, result.counters);
     });
     result.counters.iterations = static_cast<std::uint64_t>(n);

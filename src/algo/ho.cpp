@@ -57,7 +57,7 @@ class HoSolver final : public Solver {
     // Table entries are walks of at most n arcs; the potentials scale
     // them by den(mu) <= n and subtract j*num(mu) with |num(mu)| <= n*max|w|,
     // so every stored value stays within 2n^2 * max|w|.
-    detail::with_table_width(g, 2 * n * n, result.counters, [&](auto zero) {
+    with_width(2 * n * n * max_abs_weight(g), &result.counters, [&](auto zero) {
       solve_levels<decltype(zero)>(g, tiles, result);
     });
     return result;
@@ -77,7 +77,7 @@ class HoSolver final : public Solver {
 
     // Incumbent candidate.
     bool have_mu = false;
-    Rational mu;
+    WideRational mu;
     std::vector<ArcId> witness;
 
     // Scaled potentials pi(v) = min_j (D_j(v)*den(mu) - j*num(mu)),
@@ -87,7 +87,8 @@ class HoSolver final : public Solver {
       const D* row = d.data() + static_cast<std::size_t>(j) * un;
       for (std::size_t v = 0; v < un; ++v) {
         if (row[v] == kNone) continue;
-        const D scaled = row[v] * mu.den() - static_cast<D>(j) * mu.num();
+        const D scaled =
+            row[v] * static_cast<D>(mu.den) - static_cast<D>(j) * static_cast<D>(mu.num);
         if (scaled < pi[v]) pi[v] = scaled;
       }
     };
@@ -116,7 +117,7 @@ class HoSolver final : public Solver {
             find_cycle_on_path(g, parent, walk_seen, k, static_cast<NodeId>(argmin - cur));
         if (!cyc.empty()) {
           ++result.counters.cycle_evaluations;
-          const Rational cand_mu = cycle_mean(g, cyc);
+          const WideRational cand_mu = wide_cycle_value(g, ProblemKind::kCycleMean, cyc);
           if (!have_mu || cand_mu < mu) {
             have_mu = true;
             mu = cand_mu;
@@ -143,7 +144,7 @@ class HoSolver final : public Solver {
         obs::emit(obs::EventKind::kFeasibilityProbe, "ho.criticality_check", k);
         if (potentials_feasible(g, pi, mu)) {
           result.has_cycle = true;
-          result.value = mu;
+          result.value = mu.to_rational();
           result.cycle = std::move(witness);
           return;  // early termination at level k
         }
@@ -193,13 +194,15 @@ class HoSolver final : public Solver {
   /// Exact feasibility of the scaled potentials for G_mu.
   template <typename D>
   static bool potentials_feasible(const Graph& g, const std::vector<D>& pi,
-                                  const Rational& mu) {
+                                  const WideRational& mu) {
     for (ArcId a = 0; a < g.num_arcs(); ++a) {
       const D pu = pi[static_cast<std::size_t>(g.src(a))];
       const D pv = pi[static_cast<std::size_t>(g.dst(a))];
       // A node not yet reached cannot be certified.
       if (pu == detail::no_walk<D>() || pv == detail::no_walk<D>()) return false;
-      if (pv > pu + static_cast<D>(g.weight(a)) * mu.den() - mu.num()) return false;
+      if (pv > pu + static_cast<D>(g.weight(a)) * static_cast<D>(mu.den) - static_cast<D>(mu.num)) {
+        return false;
+      }
     }
     return true;
   }

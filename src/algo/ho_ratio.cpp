@@ -16,13 +16,13 @@
 // by validate_ratio_instance), so one pass in topological order per
 // level suffices.
 //
-// The table fill and Karp's formula run at the width the Karp family's
-// rule picks (algo/karp_family.h). Guard rails: walks of transit
+// The table fill and Karp's formula run at the width the range rule
+// picks (support/int_range.h). Guard rails: walks of transit
 // exactly T may not exist in degenerate instances (all cycle transits
 // sharing a divisor that T misses). The candidate from the formula is
 // therefore cross-checked — the witness is extracted from the critical
 // subgraph when the candidate is the exact optimum, and
-// refine_to_exact repairs the rare rest, so the solver is exact
+// finish_exact repairs the rare rest, so the solver is exact
 // unconditionally.
 #include <optional>
 #include <stdexcept>
@@ -138,7 +138,7 @@ class HartmannOrlinRatioSolver final : public Solver {
       throw std::invalid_argument("ho_ratio: transit table of (T+1)*n entries too large");
     }
     const std::optional<Rational> candidate =
-        detail::with_table_width(g, walk_arcs, result.counters, [&](auto zero) {
+        with_width(walk_arcs * max_abs_weight(g), &result.counters, [&](auto zero) {
           return ho_ratio_value<decltype(zero)>(g, zero_sub, zero_topo, result.counters);
         });
 
@@ -157,11 +157,7 @@ class HartmannOrlinRatioSolver final : public Solver {
     }
     // No usable transit-T row (or the candidate missed): start from any
     // cycle and let exact cycle canceling finish.
-    result.cycle = find_any_cycle(g);
-    result.value = cycle_value(g, ProblemKind::kCycleRatio, result.cycle);
-    refine_to_exact(g, ProblemKind::kCycleRatio, result.value, result.cycle,
-                    result.counters);
-    result.has_cycle = true;
+    finish_exact(g, ProblemKind::kCycleRatio, {}, result);
     return result;
   }
 };

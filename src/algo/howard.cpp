@@ -39,6 +39,7 @@
 // counting sort each iteration, not per-node vectors.
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -48,28 +49,14 @@
 #include "core/result.h"
 #include "obs/obs.h"
 #include "support/int128.h"
+#include "support/int_range.h"
 
 namespace mcr {
 namespace {
 
-// Multiplies the distance scale by `factor`, returning false when the
-// grown denominator or any rescaled distance would leave the headroom
-// needed by the per-arc updates d(v) + w*den - lam_num*t. On failure
-// `dist` may be partially rescaled; the caller must abandon it.
-bool grow_scale(std::vector<std::int64_t>& dist, std::int64_t& cur_den,
-                std::int64_t factor) {
-  constexpr std::int64_t kDenLimit = std::int64_t{1} << 31;
-  constexpr std::int64_t kDistLimit = std::int64_t{1} << 62;
-  const int128 den = static_cast<int128>(cur_den) * factor;
-  if (den > kDenLimit) return false;
-  for (auto& d : dist) {
-    const int128 scaled = static_cast<int128>(d) * factor;
-    if (scaled > kDistLimit || scaled < -kDistLimit) return false;
-    d = static_cast<std::int64_t>(scaled);
-  }
-  cur_den = static_cast<std::int64_t>(den);
-  return true;
-}
+// The largest distance scale policy iteration grows to; past it the
+// solve finishes by cycle canceling (the scale-overflow valve).
+constexpr std::int64_t kDenLimit = std::int64_t{1} << 31;
 
 class HowardSolver final : public Solver {
  public:
@@ -93,15 +80,13 @@ class HowardSolver final : public Solver {
     const std::size_t un = static_cast<std::size_t>(n);
     CycleResult result;
 
-    const auto transit = [&](ArcId a) {
-      return kind_ == ProblemKind::kCycleMean ? std::int64_t{1} : g.transit(a);
-    };
-
     // Initial policy: the out-arc with the smallest weight (Fig. 1,
     // lines 1-4). d(u) = weight of that arc, scaled denominator 1. The
     // naive-init ablation variant just takes the first out-arc instead.
+    // The scan also finds the largest transit, for the range bound.
     std::vector<ArcId> policy(un, kInvalidArc);
     std::vector<std::int64_t> dist(un, 0);
+    std::int64_t max_t = 1;
     for (NodeId u = 0; u < n; ++u) {
       std::int64_t best = std::numeric_limits<std::int64_t>::max();
       for (const ArcId a : g.out_arcs(u)) {
@@ -112,11 +97,23 @@ class HowardSolver final : public Solver {
         if (!improved_init_ && policy[static_cast<std::size_t>(u)] == kInvalidArc) {
           policy[static_cast<std::size_t>(u)] = a;
         }
+        max_t = std::max(max_t, arc_transit(g, kind_, a));
       }
       dist[static_cast<std::size_t>(u)] =
           improved_init_ ? best : g.weight(policy[static_cast<std::size_t>(u)]);
     }
     std::int64_t cur_den = 1;
+
+    // The range rule (support/int_range.h): a policy cycle's sums stay
+    // within n * max(max|w|, max t); the distances, |d(u)| <= dist_bound,
+    // are checked per iteration below.
+    const int128 max_w = max_abs_weight(g);
+    if (!fits_int64(n * std::max(max_w, int128{max_t}))) {
+      ++result.counters.numeric_promotions;
+      finish_exact(g, kind_, {}, result, tiles);
+      return result;
+    }
+    int128 dist_bound = max_w;
 
     // Scratch for policy-cycle evaluation and the reverse BFS. The
     // reverse-policy adjacency is flat CSR (offsets + node array),
@@ -146,6 +143,11 @@ class HowardSolver final : public Solver {
 
     Rational lambda;
     std::vector<ArcId> best_cycle;
+    // The safety valve: cycle canceling from the incumbent policy cycle.
+    const auto valve = [&](const char* reason, std::int32_t iter) {
+      obs::emit(obs::EventKind::kSafetyValve, reason, iter);
+      finish_exact(g, kind_, std::move(best_cycle), result, tiles);
+    };
 
     for (std::int32_t iter = 0;; ++iter) {
       ++result.counters.iterations;
@@ -181,7 +183,7 @@ class HowardSolver final : public Solver {
             const ArcId a = policy[static_cast<std::size_t>(chain[i])];
             cyc.push_back(a);
             w += g.weight(a);
-            t += transit(a);
+            t += arc_transit(g, kind_, a);
           }
           const Rational mean(w, t);
           if (!have_lambda || mean < new_lambda) {
@@ -206,21 +208,37 @@ class HowardSolver final : public Solver {
       // (nodes whose tree leads to a non-optimal policy cycle, which the
       // reverse BFS below does not refresh) toward zero and void the
       // strict-decrease termination argument.
-      if (cur_den % lambda.den() != 0) {
-        const std::int64_t factor =
-            lambda.den() / std::gcd(cur_den, lambda.den());
-        if (!grow_scale(dist, cur_den, factor)) {
-          // Out of 64-bit headroom: finish exactly by cycle canceling,
-          // like the iteration safety valve below. Not rare: measured on
-          // 16% of howard_ratio solves of sprand graphs at n = 512,
-          // m = 2048, transit U[1, 10], and more at larger n (test
-          // Howard.ScaleOverflowValveStaysExact keeps it covered).
-          obs::emit(obs::EventKind::kSafetyValve, "howard.scale_overflow", iter);
-          refine_to_exact(g, kind_, lambda, best_cycle, result.counters, tiles);
-          break;
-        }
+      const std::int64_t factor = lambda.den() / std::gcd(cur_den, lambda.den());
+      const int128 den = static_cast<int128>(cur_den) * factor;
+      if (den > kDenLimit) {
+        // Out of 64-bit headroom: finish exactly by cycle canceling,
+        // like the iteration safety valve below. Not rare: measured on
+        // 16% of howard_ratio solves of sprand graphs at n = 512,
+        // m = 2048, transit U[1, 10], and more at larger n (test
+        // Howard.ScaleOverflowValveStaysExact keeps it covered).
+        valve("howard.scale_overflow", iter);
+        return result;
       }
-      const std::int64_t lam_num = lambda.num() * (cur_den / lambda.den());
+      // One arc moves a distance by |w*den - lam_num*t| <= step; the
+      // reverse BFS hangs a node at most n-1 arcs below a rescaled
+      // distance and the improve step adds one arc, so all stored values
+      // stay within dist_bound*factor + n*step. (den <= 2^31 and max|w|,
+      // max t < 2^61, so capping |lam_num| keeps the products in int128.)
+      const int128 wide_lam_num = static_cast<int128>(lambda.num()) * (den / lambda.den());
+      const int128 step =
+          max_w * den +
+          std::min(wide_lam_num < 0 ? -wide_lam_num : wide_lam_num, int128{kInt64Limit}) * max_t;
+      if (!fits_int64(step) || !fits_int64(dist_bound * factor + n * step)) {
+        ++result.counters.numeric_promotions;
+        valve("howard.scale_overflow", iter);
+        return result;
+      }
+      if (factor != 1) {
+        for (auto& d : dist) d *= factor;
+        cur_den = static_cast<std::int64_t>(den);
+        dist_bound *= factor;
+      }
+      const auto lam_num = static_cast<std::int64_t>(wide_lam_num);
 
       // --- Reverse BFS from s on the policy graph (Fig. 1, 10-12). ---
       // Counting sort the reverse-policy adjacency into the flat CSR
@@ -255,7 +273,7 @@ class HowardSolver final : public Solver {
           const ArcId a = policy[static_cast<std::size_t>(u)];
           dist[static_cast<std::size_t>(u)] =
               dist[static_cast<std::size_t>(v)] + g.weight(a) * cur_den -
-              lam_num * transit(a);
+              lam_num * arc_transit(g, kind_, a);
           bfs.push_back(u);
         }
       }
@@ -271,7 +289,14 @@ class HowardSolver final : public Solver {
       // (dist_prev) and adopts it when strictly better. Improvement
       // flags and counts are order-free folds, so the tiled sweep is
       // deterministic for any tile size and thread count.
-      std::copy(dist.begin(), dist.end(), dist_prev.begin());
+      // An adopted candidate is one arc past a post-BFS distance, so the
+      // largest of those plus step bounds the next iteration's distances.
+      std::int64_t max_dist = 0;
+      for (std::size_t i = 0; i < un; ++i) {
+        dist_prev[i] = dist[i];
+        max_dist = std::max(max_dist, std::abs(dist[i]));
+      }
+      dist_bound = max_dist + step;
       std::atomic<bool> improved{false};
       std::atomic<std::int64_t> adopted{0};
       std::atomic<std::uint64_t> relaxed{0};
@@ -280,7 +305,7 @@ class HowardSolver final : public Solver {
           [&](std::int32_t p) {
             const ArcId a = out_ids[static_cast<std::size_t>(p)];
             return Cand{dist_prev[static_cast<std::size_t>(g.dst(a))] +
-                            g.weight(a) * cur_den - lam_num * transit(a),
+                            g.weight(a) * cur_den - lam_num * arc_transit(g, kind_, a),
                         p};
           },
           [&](NodeId u, const Cand& best) {
@@ -311,9 +336,8 @@ class HowardSolver final : public Solver {
       // negative in G_lambda until none exists. Never triggers on the
       // paper's workloads; counted in feasibility_checks when it does.
       if (iter > iteration_cap(n, g.num_arcs())) {
-        obs::emit(obs::EventKind::kSafetyValve, "howard.iteration_cap", iter);
-        refine_to_exact(g, kind_, lambda, best_cycle, result.counters, tiles);
-        break;
+        valve("howard.iteration_cap", iter);
+        return result;
       }
     }
 

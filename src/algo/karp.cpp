@@ -81,7 +81,7 @@ class KarpSolver final : public Solver {
     const NodeId n = g.num_nodes();
     CycleResult result;
     // Every D_k(v) is the weight of a walk of at most n arcs.
-    const auto value = detail::with_table_width(g, n, result.counters, [&](auto zero) {
+    const auto value = with_width(n * max_abs_weight(g), &result.counters, [&](auto zero) {
       return karp_value<decltype(zero)>(g, result.counters, tiles);
     });
     result.counters.iterations = static_cast<std::uint64_t>(n);

@@ -77,7 +77,7 @@ class Karp2Solver final : public Solver {
     const NodeId n = g.num_nodes();
     CycleResult result;
     // Both passes hold weights of walks of at most n arcs.
-    const auto value = detail::with_table_width(g, n, result.counters, [&](auto zero) {
+    const auto value = with_width(n * max_abs_weight(g), &result.counters, [&](auto zero) {
       return karp2_value<decltype(zero)>(g, result.counters, tiles);
     });
     result.counters.iterations = 2 * static_cast<std::uint64_t>(n);

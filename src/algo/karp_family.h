@@ -6,14 +6,15 @@
 // where D_k(v) is the minimum weight of a k-arc walk from s to v and
 // L = n; ho_ratio applies it over transit levels (walks of transit
 // exactly t, L = T, the total transit). The solvers differ only in how
-// they fill D, so what they share lives here: the width rule, the pull
-// level sweep and Karp's formula.
+// they fill D, so what they share lives here: the "no walk" sentinel,
+// the pull level sweep and Karp's formula. Each solver picks its table
+// width once with with_width (support/int_range.h) from a bound B on
+// its walks: every stored value is at most B * max|w|.
 #ifndef MCR_ALGO_KARP_FAMILY_H
 #define MCR_ALGO_KARP_FAMILY_H
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -22,6 +23,7 @@
 #include "graph/arc_tiles.h"
 #include "graph/graph.h"
 #include "support/int128.h"
+#include "support/int_range.h"
 #include "support/op_counters.h"
 #include "support/rational.h"
 
@@ -33,28 +35,10 @@ namespace mcr::detail {
 template <typename D>
 constexpr D no_walk() {
   if constexpr (std::is_same_v<D, std::int64_t>) {
-    return std::numeric_limits<std::int64_t>::max() / 4;
+    return kInt64Limit;
   } else {
     return static_cast<int128>(1) << 126;
   }
-}
-
-/// The width rule, applied once before the first level is filled: the
-/// caller's `bound` B says every value it stores is at most B * max|w|
-/// in magnitude. Calls body(std::int64_t{}) when that stays below
-/// no_walk<int64>(), so no sum can wrap or reach the sentinel; otherwise
-/// counts one numeric promotion and calls body(int128{}). The test
-/// divides, so the bound itself cannot overflow.
-template <typename Body>
-auto with_table_width(const Graph& g, int128 bound, OpCounters& counters,
-                      const Body& body) {
-  const int128 max_abs_w = std::max(-static_cast<int128>(g.min_weight()),
-                                    static_cast<int128>(g.max_weight()));
-  if (max_abs_w == 0 || bound <= (no_walk<std::int64_t>() - 1) / max_abs_w) {
-    return body(std::int64_t{0});
-  }
-  ++counters.numeric_promotions;
-  return body(int128{0});
 }
 
 /// The pull level sweep: each run fills D_k(v) = min over in-arcs (u,v)

@@ -18,9 +18,8 @@
 //     follow-up: every negative cycle found becomes a witness whose
 //     exact mean tightens the upper bound directly, collapsing the
 //     search after a handful of probes.
-// Both track the best witness cycle and finish with
-// refine_to_exact, so the returned value is exact regardless of
-// epsilon.
+// Both track the best witness cycle and finish with finish_exact, so
+// the returned value is exact regardless of epsilon.
 #include <algorithm>
 #include <vector>
 
@@ -56,13 +55,9 @@ class LawlerSolver final : public Solver {
     const ArcId m = g.num_arcs();
     CycleResult result;
 
-    const auto transit = [&](ArcId a) {
-      return kind_ == ProblemKind::kCycleMean ? std::int64_t{1} : g.transit(a);
-    };
-
     // Initial witness: any cycle; its exact value is an upper bound.
     std::vector<ArcId> witness = find_any_cycle(g);
-    Rational best = cycle_value(g, kind_, witness);
+    WideRational best = wide_cycle_value(g, kind_, witness);
 
     // Search interval. For the mean, [w_min, w_max]; for ratios the
     // mediant inequality gives the same with per-arc w/t when all
@@ -101,7 +96,7 @@ class LawlerSolver final : public Solver {
       if (mid <= lo || mid >= hi) break;
       for (ArcId a = 0; a < m; ++a) {
         cost[static_cast<std::size_t>(a)] =
-            static_cast<double>(g.weight(a)) - mid * static_cast<double>(transit(a));
+            static_cast<double>(g.weight(a)) - mid * static_cast<double>(arc_transit(g, kind_, a));
       }
       ++result.counters.feasibility_checks;
       obs::emit(obs::EventKind::kFeasibilityProbe, "lawler.probe",
@@ -110,7 +105,7 @@ class LawlerSolver final : public Solver {
           bellman_ford_all_real(g, cost, &result.counters, tiles);
       if (bf.has_negative_cycle) {
         // lambda* < mid: the probed value is too large.
-        const Rational found = cycle_value(g, kind_, bf.cycle);
+        const WideRational found = wide_cycle_value(g, kind_, bf.cycle);
         if (found < best) {
           best = found;
           witness = std::move(bf.cycle);
@@ -123,10 +118,7 @@ class LawlerSolver final : public Solver {
       }
     }
 
-    result.value = best;
-    result.cycle = std::move(witness);
-    refine_to_exact(g, kind_, result.value, result.cycle, result.counters, tiles);
-    result.has_cycle = true;
+    finish_exact(g, kind_, std::move(witness), result, tiles);
     return result;
   }
 

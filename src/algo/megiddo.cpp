@@ -15,6 +15,7 @@
 // has been pinned: the best witness, finished by exact cycle canceling,
 // is the optimum. Comparisons at interval endpoints use exact rational
 // evaluation (128-bit), so no floating point enters the control flow.
+#include <algorithm>
 #include <vector>
 
 #include "algo/algorithms.h"
@@ -23,6 +24,7 @@
 #include "graph/traversal.h"
 #include "obs/obs.h"
 #include "support/int128.h"
+#include "support/int_range.h"
 
 namespace mcr {
 
@@ -49,9 +51,17 @@ class MegiddoSolver final : public Solver {
     const ArcId m = g.num_arcs();
     CycleResult result;
 
-    const auto transit = [&](ArcId a) {
-      return kind_ == ProblemKind::kCycleMean ? std::int64_t{1} : g.transit(a);
-    };
+    // The range rule (support/int_range.h): a symbolic label is a walk
+    // that grows by at most one arc per arc scan, (n+1)*m arcs in all, of
+    // weight and transit within that times max(max|w|, T), T = 1 (mean)
+    // or the total transit (ratio); comparisons subtract two labels, one
+    // arc longer at most. Out of range, the component goes to the finish.
+    const int128 t = kind_ == ProblemKind::kCycleMean ? 1 : g.total_transit();
+    if (!fits_int64(2 * ((n + int128{1}) * m + 1) * std::max(max_abs_weight(g), t))) {
+      ++result.counters.numeric_promotions;
+      finish_exact(g, kind_, {}, result);
+      return result;
+    }
 
     // Certified interval (lo, hi]: lo below every cycle value, hi the
     // exact value of a concrete witness cycle.
@@ -116,7 +126,7 @@ class MegiddoSolver final : public Solver {
         const NodeId u = g.src(a);
         const NodeId v = g.dst(a);
         const std::int64_t ca = av[static_cast<std::size_t>(u)] + g.weight(a);
-        const std::int64_t cb = bv[static_cast<std::size_t>(u)] - transit(a);
+        const std::int64_t cb = bv[static_cast<std::size_t>(u)] - arc_transit(g, kind_, a);
         if (less_at_opt(ca, cb, av[static_cast<std::size_t>(v)],
                         bv[static_cast<std::size_t>(v)])) {
           av[static_cast<std::size_t>(v)] = ca;
@@ -131,10 +141,7 @@ class MegiddoSolver final : public Solver {
     // The symbolic run pinned rho* into (lo, hi] with hi achieved by a
     // real cycle; cycle canceling certifies (and repairs any boundary
     // tie decisions).
-    result.value = hi;
-    result.cycle = std::move(witness);
-    refine_to_exact(g, kind_, result.value, result.cycle, result.counters);
-    result.has_cycle = true;
+    finish_exact(g, kind_, std::move(witness), result);
     return result;
   }
 

@@ -17,8 +17,8 @@
 // pass budget) emerges from the same mechanism as the original's.
 //
 // Because a bounded feasibility test can misclassify, the final witness
-// is certified and, if needed, corrected by refine_to_exact;
-// like the paper's OA1 the search itself is approximate (precision
+// is certified and, if needed, corrected by finish_exact; like the
+// paper's OA1 the search itself is approximate (precision
 // epsilon), but the returned value is the exact optimum.
 #include <algorithm>
 #include <cmath>
@@ -47,7 +47,7 @@ class Oa1Solver final : public Solver {
     CycleResult result;
 
     std::vector<ArcId> witness = find_any_cycle(g);
-    Rational best = cycle_value(g, ProblemKind::kCycleMean, witness);
+    WideRational best = wide_cycle_value(g, ProblemKind::kCycleMean, witness);
 
     double lo = static_cast<double>(g.min_weight());
     double hi = best.to_double();
@@ -102,7 +102,7 @@ class Oa1Solver final : public Solver {
         cyc = cycle_in_parent_forest(g, parent, last_relaxed);
       }
       if (!cyc.empty()) {
-        const Rational found = cycle_value(g, ProblemKind::kCycleMean, cyc);
+        const WideRational found = wide_cycle_value(g, ProblemKind::kCycleMean, cyc);
         if (found < best) {
           best = found;
           witness = std::move(cyc);
@@ -115,11 +115,7 @@ class Oa1Solver final : public Solver {
       }
     }
 
-    result.value = best;
-    result.cycle = std::move(witness);
-    refine_to_exact(g, ProblemKind::kCycleMean, result.value, result.cycle,
-                    result.counters);
-    result.has_cycle = true;
+    finish_exact(g, ProblemKind::kCycleMean, std::move(witness), result);
     return result;
   }
 

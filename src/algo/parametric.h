@@ -29,15 +29,18 @@
 #ifndef MCR_ALGO_PARAMETRIC_H
 #define MCR_ALGO_PARAMETRIC_H
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <vector>
 
+#include "core/critical.h"
 #include "core/problem.h"
 #include "core/result.h"
 #include "graph/graph.h"
 #include "obs/obs.h"
 #include "support/int128.h"
+#include "support/int_range.h"
 #include "support/op_counters.h"
 #include "support/rational.h"
 
@@ -68,16 +71,12 @@ class ParametricTree {
     init_tree();
   }
 
-  [[nodiscard]] std::int64_t transit(ArcId a) const {
-    return kind_ == ProblemKind::kCycleMean ? std::int64_t{1} : g_.transit(a);
-  }
-
   /// Key of arc e, qualifying iff denominator > 0.
   [[nodiscard]] bool arc_key(ArcId e, Frac& out) const {
     const NodeId u = g_.src(e);
     const NodeId v = g_.dst(e);
     if (parent_[static_cast<std::size_t>(v)] == e) return false;  // tree arc
-    const std::int64_t den = b_[static_cast<std::size_t>(u)] + transit(e) -
+    const std::int64_t den = b_[static_cast<std::size_t>(u)] + arc_transit(g_, kind_, e) -
                              b_[static_cast<std::size_t>(v)];
     if (den <= 0) return false;
     out.num = a_[static_cast<std::size_t>(u)] + g_.weight(e) -
@@ -115,7 +114,7 @@ class ParametricTree {
     const NodeId v = g_.dst(e);
     const std::int64_t delta_a = a_[static_cast<std::size_t>(u)] + g_.weight(e) -
                                  a_[static_cast<std::size_t>(v)];
-    const std::int64_t delta_b = b_[static_cast<std::size_t>(u)] + transit(e) -
+    const std::int64_t delta_b = b_[static_cast<std::size_t>(u)] + arc_transit(g_, kind_, e) -
                                  b_[static_cast<std::size_t>(v)];
     for (const NodeId x : subtree_) {
       a_[static_cast<std::size_t>(x)] += delta_a;
@@ -166,7 +165,7 @@ class ParametricTree {
     const NodeId n = g_.num_nodes();
     const std::size_t un = static_cast<std::size_t>(n);
     children_.assign(un, {});
-    constexpr std::int64_t kInf = INT64_MAX / 4;
+    constexpr std::int64_t kInf = kInt64Limit;
     std::vector<std::int64_t> bb(un, kInf), aa(un, kInf);
     bb[0] = 0;
     aa[0] = 0;
@@ -178,7 +177,7 @@ class ParametricTree {
         const NodeId u = g_.src(e);
         const NodeId v = g_.dst(e);
         if (bb[static_cast<std::size_t>(u)] == kInf) continue;
-        const std::int64_t cb = bb[static_cast<std::size_t>(u)] + transit(e);
+        const std::int64_t cb = bb[static_cast<std::size_t>(u)] + arc_transit(g_, kind_, e);
         const std::int64_t ca = aa[static_cast<std::size_t>(u)] + g_.weight(e);
         if (cb < bb[static_cast<std::size_t>(v)] ||
             (cb == bb[static_cast<std::size_t>(v)] && ca < aa[static_cast<std::size_t>(v)])) {
@@ -213,10 +212,26 @@ class ParametricTree {
   std::vector<bool> in_subtree_;
 };
 
+/// The range rule (support/int_range.h), checked before the tree is
+/// built: labels sum a tree path (under n arcs) and keys and pivot deltas
+/// add an arc and subtract a label, so all stay within 2n * max(max|w|,
+/// T), T = 1 (mean) or the total transit (ratio). Out of range, the
+/// component goes to the exact finish.
+inline bool finish_if_out_of_range(const Graph& g, ProblemKind kind, CycleResult& result) {
+  const int128 t = kind == ProblemKind::kCycleMean ? 1 : g.total_transit();
+  if (fits_int64(2 * static_cast<int128>(g.num_nodes()) * std::max(max_abs_weight(g), t))) {
+    return false;
+  }
+  ++result.counters.numeric_promotions;
+  finish_exact(g, kind, {}, result);
+  return true;
+}
+
 /// KO: one heap entry per qualifying arc.
 template <template <typename, typename> class Heap>
 CycleResult solve_ko_with(const Graph& g, ProblemKind kind) {
   CycleResult result;
+  if (finish_if_out_of_range(g, kind, result)) return result;
   ParametricTree tree(g, kind, result.counters);
   Heap<Frac, FracLess> heap(g.num_arcs());
 
@@ -288,6 +303,7 @@ CycleResult solve_ko_with(const Graph& g, ProblemKind kind) {
 template <template <typename, typename> class Heap>
 CycleResult solve_yto_with(const Graph& g, ProblemKind kind) {
   CycleResult result;
+  if (finish_if_out_of_range(g, kind, result)) return result;
   ParametricTree tree(g, kind, result.counters);
   Heap<Frac, FracLess> heap(g.num_nodes());
   std::vector<ArcId> best_arc(static_cast<std::size_t>(g.num_nodes()), kInvalidArc);

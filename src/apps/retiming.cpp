@@ -1,19 +1,19 @@
 #include "apps/retiming.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "core/driver.h"
 #include "graph/bellman_ford.h"
 #include "graph/builder.h"
 #include "graph/traversal.h"
+#include "support/int_range.h"
 
 namespace mcr::apps {
 
 namespace {
 
-constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
+constexpr std::int64_t kInf = kInt64Limit;
 
 void validate(const Graph& g, std::span<const std::int64_t> gate_delay) {
   if (gate_delay.size() != static_cast<std::size_t>(g.num_nodes())) {

@@ -22,25 +22,21 @@ class BruteForceSolver final : public Solver {
 
   [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
     CycleResult best;
+    WideRational best_value;
     enumerate_simple_cycles(
         g,
         [&](std::span<const ArcId> cycle) {
           ++best.counters.cycle_evaluations;
-          std::int64_t w = 0;
-          std::int64_t t = 0;
-          for (const ArcId a : cycle) {
-            w += g.weight(a);
-            t += kind_ == ProblemKind::kCycleMean ? 1 : g.transit(a);
-          }
-          const Rational value(w, t);
-          if (!best.has_cycle || value < best.value) {
+          const WideRational value = wide_cycle_value(g, kind_, cycle);
+          if (!best.has_cycle || value < best_value) {
             best.has_cycle = true;
-            best.value = value;
+            best_value = value;
             best.cycle.assign(cycle.begin(), cycle.end());
           }
           return true;
         },
         max_cycles_);
+    if (best.has_cycle) best.value = best_value.to_rational();
     return best;
   }
 

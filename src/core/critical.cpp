@@ -11,25 +11,35 @@
 #include "graph/traversal.h"
 #include "obs/obs.h"
 #include "support/checked.h"
+#include "support/int_range.h"
 
 namespace mcr {
 
 namespace {
 
-/// cost(e) = w(e)*den - num*t(e): overflow-checked in int64, plain in
-/// int128, where |w|,|num|,|den|,|t| <= 2^63 keep |cost| < 2^127.
-template <typename Cost>
-std::vector<Cost> transformed_costs(const Graph& g, const Rational& value, ProblemKind kind) {
-  std::vector<Cost> cost(static_cast<std::size_t>(g.num_arcs()));
+/// cost(e) = w(e)*den - num*t(e), exact, and max |cost|. A value with
+/// int64 parts (every Rational) keeps |cost| < 2^127; a wider one is
+/// checked and throws NumericOverflow past 128 bits.
+std::vector<int128> wide_lambda_costs(const Graph& g, const WideRational& value,
+                                      ProblemKind kind, int128& max_abs_cost) {
+  const auto num = static_cast<std::int64_t>(value.num);
+  const auto den = static_cast<std::int64_t>(value.den);
+  const bool int64_parts = num == value.num && den == value.den;
+  std::vector<int128> cost(static_cast<std::size_t>(g.num_arcs()));
+  max_abs_cost = 0;
   for (ArcId a = 0; a < g.num_arcs(); ++a) {
-    const std::int64_t t = kind == ProblemKind::kCycleMean ? 1 : g.transit(a);
-    if constexpr (std::is_same_v<Cost, std::int64_t>) {
-      cost[static_cast<std::size_t>(a)] =
-          checked_sub(checked_mul(g.weight(a), value.den()), checked_mul(value.num(), t));
-    } else {
-      cost[static_cast<std::size_t>(a)] = static_cast<int128>(g.weight(a)) * value.den() -
-                                          static_cast<int128>(value.num()) * t;
+    const std::int64_t t = arc_transit(g, kind, a);
+    int128 c = 0;
+    if (int64_parts) {
+      c = static_cast<int128>(g.weight(a)) * den - static_cast<int128>(num) * t;
+    } else if (int128 wd = 0, nt = 0;
+               __builtin_mul_overflow(static_cast<int128>(g.weight(a)), value.den, &wd) ||
+               __builtin_mul_overflow(value.num, static_cast<int128>(t), &nt) ||
+               __builtin_sub_overflow(wd, nt, &c) || c == -kInt128Max - 1) {
+      throw NumericOverflow("lambda-probe costs (beyond 128 bits)");
     }
+    cost[static_cast<std::size_t>(a)] = c;
+    max_abs_cost = std::max(max_abs_cost, c < 0 ? -c : c);
   }
   return cost;
 }
@@ -50,18 +60,11 @@ std::vector<ArcId> tight_arcs(const Graph& g, const std::vector<Dist>& dist,
   return out;
 }
 
+/// The probe over costs of the width the range rule picked.
 template <typename Cost>
-LambdaProbe probe(const Graph& g, const Rational& value, ProblemKind kind,
-                  OpCounters* counters, const TileExec& tiles) {
-  const std::vector<Cost> cost = transformed_costs<Cost>(g, value, kind);
-  auto bf = [&] {
-    if constexpr (std::is_same_v<Cost, std::int64_t>) {
-      return bellman_ford_all(g, cost, counters, tiles);
-    } else {
-      return detail::run_bellman_ford<int128>(g, std::span<const int128>(cost), counters,
-                                              tiles);
-    }
-  }();
+LambdaProbe probe(const Graph& g, const std::vector<Cost>& cost, OpCounters* counters,
+                  const TileExec& tiles) {
+  auto bf = detail::run_bellman_ford<Cost>(g, std::span<const Cost>(cost), counters, tiles);
   LambdaProbe out;
   out.has_negative_cycle = bf.has_negative_cycle;
   if (bf.has_negative_cycle) {
@@ -76,33 +79,50 @@ LambdaProbe probe(const Graph& g, const Rational& value, ProblemKind kind,
 
 std::vector<std::int64_t> lambda_costs(const Graph& g, const Rational& value,
                                        ProblemKind kind) {
-  return transformed_costs<std::int64_t>(g, value, kind);
+  int128 max_abs_cost = 0;
+  const std::vector<int128> cost = wide_lambda_costs(g, value, kind, max_abs_cost);
+  if (max_abs_cost > INT64_MAX) throw NumericOverflow("lambda_costs (beyond int64)");
+  return {cost.begin(), cost.end()};
 }
 
-LambdaProbe lambda_probe(const Graph& g, const Rational& value, ProblemKind kind,
+LambdaProbe lambda_probe(const Graph& g, const WideRational& value, ProblemKind kind,
                          OpCounters* counters, const TileExec& tiles) {
-  try {
-    return probe<std::int64_t>(g, value, kind, counters, tiles);
-  } catch (const NumericOverflow&) {
-    // A transformed cost or a potential left int64: the whole test
-    // repeats in 128-bit costs rather than continuing on a wrapped value.
-    if (counters != nullptr) ++counters->numeric_promotions;
-    return probe<int128>(g, value, kind, counters, tiles);
+  int128 max_abs_cost = 0;
+  const std::vector<int128> cost = wide_lambda_costs(g, value, kind, max_abs_cost);
+  // Every potential and candidate is the cost of a walk of at most n+1
+  // arcs, so (n+1) * max|cost| bounds them all (capping max|cost| at the
+  // limit keeps the product in int128 and the verdict unchanged).
+  const int128 walk_arcs = g.num_nodes() + int128{1};
+  if (max_abs_cost > kInt128Max / walk_arcs) {
+    throw NumericOverflow("lambda-probe potentials (beyond 128 bits)");
   }
+  const int128 bound = walk_arcs * std::min(max_abs_cost, int128{kInt64Limit});
+  return with_width(bound, counters, [&](auto zero) {
+    if constexpr (std::is_same_v<decltype(zero), std::int64_t>) {
+      return probe(g, std::vector<std::int64_t>(cost.begin(), cost.end()), counters, tiles);
+    } else {
+      return probe(g, cost, counters, tiles);
+    }
+  });
 }
 
-void refine_to_exact(const Graph& g, ProblemKind kind, Rational& value,
-                     std::vector<ArcId>& cycle, OpCounters& counters,
-                     const TileExec& tiles) {
+void finish_exact(const Graph& g, ProblemKind kind, std::vector<ArcId> cycle,
+                  CycleResult& result, const TileExec& tiles) {
+  if (cycle.empty()) cycle = find_any_cycle(g);
+  // Steps run on wide values; only the optimum must fit a Rational.
+  WideRational value = wide_cycle_value(g, kind, cycle);
   for (;;) {
-    ++counters.feasibility_checks;
+    ++result.counters.feasibility_checks;
     obs::emit(obs::EventKind::kFeasibilityProbe, "refine.probe",
-              static_cast<std::int64_t>(counters.feasibility_checks));
-    LambdaProbe probe = lambda_probe(g, value, kind, &counters, tiles);
-    if (!probe.has_negative_cycle) return;
-    cycle = std::move(probe.cycle);
-    value = cycle_value(g, kind, cycle);
+              static_cast<std::int64_t>(result.counters.feasibility_checks));
+    LambdaProbe found = lambda_probe(g, value, kind, &result.counters, tiles);
+    if (!found.has_negative_cycle) break;
+    cycle = std::move(found.cycle);
+    value = wide_cycle_value(g, kind, cycle);
   }
+  result.has_cycle = true;
+  result.value = value.to_rational();
+  result.cycle = std::move(cycle);
 }
 
 CriticalSubgraph critical_subgraph(const Graph& g, const Rational& value,

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/problem.h"
+#include "core/result.h"
 #include "graph/arc_tiles.h"
 #include "graph/graph.h"
 #include "support/op_counters.h"
@@ -65,9 +66,8 @@ struct CriticalSubgraph {
 /// The lambda-transformed integer arc costs used throughout the library:
 /// cost(e) = w(e)*den(value) - num(value)*t(e), with t(e) == 1 for mean
 /// problems. A cycle is negative under these costs iff its mean/ratio is
-/// below `value`. The products are overflow-checked: throws
-/// NumericOverflow (support/checked.h) when a transformed cost does not
-/// fit int64; lambda_probe then repeats its test in 128-bit arithmetic.
+/// below `value`. Throws NumericOverflow (support/checked.h) when a
+/// transformed cost does not fit int64.
 [[nodiscard]] std::vector<std::int64_t> lambda_costs(const Graph& g, const Rational& value,
                                                      ProblemKind kind);
 
@@ -82,32 +82,30 @@ struct LambdaProbe {
   std::vector<ArcId> critical_arcs;
 };
 
-/// The lambda-probe: the negative-cycle test of G_value under
-/// lambda_costs, by Bellman-Ford. It runs in int64 first and repeats
-/// wholesale in int128, counting one numeric promotion in `counters`,
-/// when a cost or a potential leaves int64. `tiles` spreads the
-/// relaxation sweeps across a pool (graph/arc_tiles.h) without changing
-/// the outcome.
-[[nodiscard]] LambdaProbe lambda_probe(const Graph& g, const Rational& value,
+/// The lambda-probe: the negative-cycle test of G_value under the
+/// lambda-transformed costs, by Bellman-Ford, run in int64 when the range
+/// rule (support/int_range.h) admits (n+1) * max|cost| and in int128
+/// otherwise, counting one numeric promotion in `counters`. A value too
+/// wide for 128-bit costs throws NumericOverflow. `tiles` spreads the
+/// sweeps across a pool (graph/arc_tiles.h) without changing the outcome.
+[[nodiscard]] LambdaProbe lambda_probe(const Graph& g, const WideRational& value,
                                        ProblemKind kind, OpCounters* counters = nullptr,
                                        const TileExec& tiles = {});
 
-/// Exact cycle-canceling refinement: given a candidate (value, cycle)
-/// where `cycle` is a real cycle achieving `value`, repeatedly test
-/// G_value for a negative cycle and adopt it until none exists. On
-/// return (value, cycle) is the exact optimum with an exact witness.
+/// The exact finish every solver shares: from `cycle` (any cycle of the
+/// cyclic g when empty), cancel cycles, adopting a negative cycle of
+/// G_value while one exists. Sets result's value, witness and has_cycle
+/// and counts the probes as feasibility_checks. Steps may pass values
+/// beyond Rational; an optimum beyond it throws NumericOverflow.
 ///
-/// The iterative solvers that do floating-point work internally (Burns,
-/// Lawler, OA1) finish with this pass so that every solver in the
-/// library returns exact rationals; it converges in one Bellman-Ford
-/// check when the float phase already found the optimum (the common
-/// case), and each extra round strictly decreases the candidate value.
-/// `tiles` spreads the Bellman-Ford probes' relaxation sweeps across
-/// the driver's worker pool (graph/arc_tiles.h); the default keeps
-/// them serial. The outcome is identical either way.
-void refine_to_exact(const Graph& g, ProblemKind kind, Rational& value,
-                     std::vector<ArcId>& cycle, OpCounters& counters,
-                     const TileExec& tiles = {});
+/// Burns, Lawler and OA1 end here after their floating-point phase,
+/// Howard's valves, Megiddo and HO's ratio table when they stop early,
+/// and Howard, KO/YTO and Megiddo on components outside the range rule.
+/// One probe suffices when the start cycle is optimal; each further
+/// round strictly lowers the value. `tiles` spreads the probes' sweeps
+/// across the driver's pool; the outcome is identical either way.
+void finish_exact(const Graph& g, ProblemKind kind, std::vector<ArcId> cycle,
+                  CycleResult& result, const TileExec& tiles = {});
 
 }  // namespace mcr
 

@@ -10,7 +10,11 @@
 #ifndef MCR_CORE_PROBLEM_H
 #define MCR_CORE_PROBLEM_H
 
+#include <algorithm>
+#include <cstdint>
+
 #include "graph/graph.h"
+#include "support/int128.h"
 
 namespace mcr {
 
@@ -19,6 +23,18 @@ enum class ProblemKind {
   kCycleMean,   // w(C)/|C|
   kCycleRatio,  // w(C)/t(C)
 };
+
+/// The transit arc a contributes to kind's objective: the mean problem
+/// is the ratio problem with unit transits.
+[[nodiscard]] inline std::int64_t arc_transit(const Graph& g, ProblemKind kind, ArcId a) {
+  return kind == ProblemKind::kCycleMean ? 1 : g.transit(a);
+}
+
+/// max |w(e)| over g's arcs (0 without arcs), the factor every width
+/// bound (support/int_range.h) starts from; exact even for INT64_MIN.
+[[nodiscard]] inline int128 max_abs_weight(const Graph& g) {
+  return std::max(-static_cast<int128>(g.min_weight()), static_cast<int128>(g.max_weight()));
+}
 
 /// Tuning knobs shared by all solvers. Exact solvers ignore epsilon.
 struct SolverConfig {

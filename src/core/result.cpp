@@ -18,27 +18,19 @@ std::int64_t cycle_transit(const Graph& g, const std::vector<ArcId>& cycle) {
   return t;
 }
 
-Rational cycle_value(const Graph& g, ProblemKind kind, const std::vector<ArcId>& cycle) {
+WideRational wide_cycle_value(const Graph& g, ProblemKind kind,
+                              std::span<const ArcId> cycle) {
   if (cycle.empty()) throw std::invalid_argument("cycle_value: empty cycle");
   // Witness sums must stay exact for adversarial weights: a cycle of m
-  // arcs bounds the int128 sums by m * INT64_MAX, far inside int128
-  // range, so both sum wide and reduce through from_int128.
+  // arcs bounds the int128 sums by m * INT64_MAX, far inside int128.
   int128 w = 0;
   int128 t = 0;
   for (const ArcId a : cycle) {
     w += g.weight(a);
-    t += kind == ProblemKind::kCycleMean ? 1 : g.transit(a);
+    t += arc_transit(g, kind, a);
   }
   if (t <= 0) throw std::invalid_argument("cycle_value: non-positive cycle transit");
-  return Rational::from_int128(w, t);
-}
-
-Rational cycle_mean(const Graph& g, const std::vector<ArcId>& cycle) {
-  return cycle_value(g, ProblemKind::kCycleMean, cycle);
-}
-
-Rational cycle_ratio(const Graph& g, const std::vector<ArcId>& cycle) {
-  return cycle_value(g, ProblemKind::kCycleRatio, cycle);
+  return {w, t};
 }
 
 bool is_valid_cycle(const Graph& g, const std::vector<ArcId>& cycle) {

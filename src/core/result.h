@@ -2,6 +2,7 @@
 #ifndef MCR_CORE_RESULT_H
 #define MCR_CORE_RESULT_H
 
+#include <span>
 #include <vector>
 
 #include "core/problem.h"
@@ -36,15 +37,22 @@ struct CycleResult {
   OpCounters counters;
 };
 
-/// Exact weight/length/transit sums of a cycle given by arc ids.
-/// cycle_mean / cycle_ratio are exact for any int64 weights (the sum is
-/// accumulated in 128 bits); the int64 helpers throw NumericOverflow
-/// rather than wrap when the sum leaves int64 range.
-[[nodiscard]] Rational cycle_mean(const Graph& g, const std::vector<ArcId>& cycle);
-[[nodiscard]] Rational cycle_ratio(const Graph& g, const std::vector<ArcId>& cycle);
-/// cycle_mean for kCycleMean, cycle_ratio for kCycleRatio.
-[[nodiscard]] Rational cycle_value(const Graph& g, ProblemKind kind,
-                                   const std::vector<ArcId>& cycle);
+/// Exact values and sums of a cycle given by arc ids. The value sums in
+/// 128 bits, so wide_cycle_value exists for every cycle; cycle_value (and
+/// cycle_mean, cycle_ratio) narrow it and, like the int64 sums, throw
+/// NumericOverflow rather than wrap beyond int64.
+[[nodiscard]] WideRational wide_cycle_value(const Graph& g, ProblemKind kind,
+                                            std::span<const ArcId> cycle);
+[[nodiscard]] inline Rational cycle_value(const Graph& g, ProblemKind kind,
+                                          std::span<const ArcId> cycle) {
+  return wide_cycle_value(g, kind, cycle).to_rational();
+}
+[[nodiscard]] inline Rational cycle_mean(const Graph& g, std::span<const ArcId> cycle) {
+  return cycle_value(g, ProblemKind::kCycleMean, cycle);
+}
+[[nodiscard]] inline Rational cycle_ratio(const Graph& g, std::span<const ArcId> cycle) {
+  return cycle_value(g, ProblemKind::kCycleRatio, cycle);
+}
 [[nodiscard]] std::int64_t cycle_weight(const Graph& g, const std::vector<ArcId>& cycle);
 [[nodiscard]] std::int64_t cycle_transit(const Graph& g, const std::vector<ArcId>& cycle);
 

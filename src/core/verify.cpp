@@ -32,9 +32,9 @@ VerifyOutcome check_witness(const Graph& g, const CycleResult& result, ProblemKi
 VerifyOutcome verify_result(const Graph& g, const CycleResult& result, ProblemKind kind) {
   VerifyOutcome w = check_witness(g, result, kind);
   if (!w.ok || !result.has_cycle) return w;
-  // Optimality: no cycle in G_value is negative. The probe repeats in
-  // 128-bit costs once w*den - num*t leaves int64, so the verifier stays
-  // exact on exactly those adversarial instances.
+  // Optimality: no cycle in G_value is negative. The probe runs in
+  // 128 bits when w*den - num*t could leave the int64 range, so the
+  // verifier stays exact on exactly those adversarial instances.
   if (lambda_probe(g, result.value, kind).has_negative_cycle) {
     return fail("a cycle better than " + result.value.to_string() + " exists");
   }
@@ -54,9 +54,7 @@ VerifyOutcome verify_result_approx(const Graph& g, const CycleResult& result,
   for (NodeId pass = 0; pass <= n; ++pass) {
     relaxed = false;
     for (ArcId a = 0; a < g.num_arcs(); ++a) {
-      const double t = kind == ProblemKind::kCycleMean
-                           ? 1.0
-                           : static_cast<double>(g.transit(a));
+      const auto t = static_cast<double>(arc_transit(g, kind, a));
       const double c = static_cast<double>(g.weight(a)) - bar * t;
       const double cand = dist[static_cast<std::size_t>(g.src(a))] + c;
       if (cand < dist[static_cast<std::size_t>(g.dst(a))] - 1e-12) {

@@ -4,11 +4,11 @@
 // Lawler's algorithm probes "does G_lambda contain a negative cycle?"
 // once per binary-search step; callers pass the lambda-transformed arc
 // costs explicitly (cost'(e) = w(e)*den - num*t(e)), keeping this module
-// a pure integer-cost routine. Distance sums are accumulated through
-// support/checked.h: if a path sum would wrap int64 (adversarial
-// weights, not the paper's <= 10^4 regime) the recurrence is re-run in
-// 128-bit arithmetic instead of returning a wrapped potential, counted
-// in OpCounters::numeric_promotions.
+// a pure integer-cost routine. The width of the distance sums is picked
+// once, up front, by the integer-range rule (support/int_range.h): when
+// (n+1) * max|cost| could leave int64 (adversarial weights, not the
+// paper's <= 10^4 regime) the recurrence runs in 128-bit arithmetic
+// instead, counted in OpCounters::numeric_promotions.
 #ifndef MCR_GRAPH_BELLMAN_FORD_H
 #define MCR_GRAPH_BELLMAN_FORD_H
 

@@ -1,7 +1,7 @@
 // The Bellman-Ford engine behind graph/bellman_ford.h, templated on the
 // cost type. Internal header: besides bellman_ford.cpp, only the
-// lambda-probe (core/critical.cpp) runs it directly, in int128 when the
-// transformed costs or potentials leave int64.
+// lambda-probe (core/critical.cpp) runs it directly, at the width its
+// transformed costs call for.
 #ifndef MCR_GRAPH_BELLMAN_FORD_ENGINE_H
 #define MCR_GRAPH_BELLMAN_FORD_ENGINE_H
 
@@ -15,7 +15,6 @@
 #include "graph/arc_tiles.h"
 #include "graph/bellman_ford.h"
 #include "graph/graph.h"
-#include "support/checked.h"
 #include "support/int128.h"
 #include "support/op_counters.h"
 
@@ -51,17 +50,16 @@ template <typename Cost>
 Cost fold_identity() {
   if constexpr (std::is_same_v<Cost, double>) {
     return std::numeric_limits<double>::infinity();
-  } else if constexpr (std::is_same_v<Cost, CheckedI64>) {
-    return CheckedI64(std::numeric_limits<std::int64_t>::max());
+  } else if constexpr (std::is_same_v<Cost, std::int64_t>) {
+    return std::numeric_limits<std::int64_t>::max();
   } else {
     return static_cast<Cost>(static_cast<int128>(1) << 126);
   }
 }
 
 /// Shared Bellman-Ford core over any arithmetic cost type. `Cost` may be
-/// wider than the input cost type (the int128 promotion path) or
-/// overflow-checked (CheckedI64, which throws NumericOverflow instead
-/// of wrapping).
+/// wider than the input cost type (the int128 promotion path); the
+/// caller picks it so that no sum wraps.
 ///
 /// Every pass is a snapshot sweep over the in-arc CSR, run through the
 /// tiled engine (graph/arc_tiles.h): node v's new distance is the min

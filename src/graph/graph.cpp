@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "support/int128.h"
+
 namespace mcr {
 
 Graph::Graph(NodeId num_nodes, const std::vector<ArcSpec>& arcs) : num_nodes_(num_nodes) {
@@ -77,7 +79,7 @@ void Graph::finish_build() {
 
   min_weight_ = m ? std::numeric_limits<std::int64_t>::max() : 0;
   max_weight_ = m ? std::numeric_limits<std::int64_t>::min() : 0;
-  total_transit_ = 0;
+  int128 total_transit = 0;  // wide: it must itself fit int64 (an input check)
   for (std::size_t a = 0; a < m; ++a) {
     if (own_src_[a] < 0 || own_src_[a] >= num_nodes_ || own_dst_[a] < 0 ||
         own_dst_[a] >= num_nodes_) {
@@ -85,7 +87,11 @@ void Graph::finish_build() {
     }
     if (own_weight_[a] < min_weight_) min_weight_ = own_weight_[a];
     if (own_weight_[a] > max_weight_) max_weight_ = own_weight_[a];
-    total_transit_ += own_transit_[a];
+    total_transit += own_transit_[a];
+  }
+  total_transit_ = static_cast<std::int64_t>(total_transit);
+  if (total_transit_ != total_transit) {
+    throw std::invalid_argument("Graph: total transit does not fit in int64");
   }
 
   // Counting sort of arc ids into the two CSR structures.

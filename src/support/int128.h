@@ -7,6 +7,10 @@
 namespace mcr {
 
 __extension__ typedef __int128 int128;
+__extension__ typedef unsigned __int128 uint128;
+
+/// The largest int128 (std::numeric_limits may not know the type).
+inline constexpr int128 kInt128Max = static_cast<int128>(~uint128{0} >> 1);
 
 }  // namespace mcr
 

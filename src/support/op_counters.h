@@ -34,9 +34,9 @@ struct OpCounters {
   std::uint64_t feasibility_checks = 0;
   /// Policy-cycle evaluations (Howard).
   std::uint64_t cycle_evaluations = 0;
-  /// Times a distance recurrence overflowed int64 and was transparently
-  /// re-solved in 128-bit arithmetic (support/checked.h). Exported by
-  /// the driver as mcr_numeric_promotions_total.
+  /// Times the integer-range rule (support/int_range.h) sent a
+  /// recurrence to int128 or a component to the exact finish. Exported
+  /// by the driver as mcr_numeric_promotions_total.
   std::uint64_t numeric_promotions = 0;
 
   [[nodiscard]] std::uint64_t heap_total() const {

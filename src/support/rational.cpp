@@ -5,6 +5,7 @@
 #include <numeric>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "support/checked.h"
 
@@ -40,27 +41,13 @@ Rational::Rational(std::int64_t n, std::int64_t d) {
 }
 
 Rational Rational::from_int128(int128 n, int128 d) {
-  if (d == 0) throw std::invalid_argument("mcr::Rational: zero denominator");
-  if (d < 0) {
-    n = -n;
-    d = -d;
-  }
-  i128 a = n < 0 ? -n : n;
-  i128 b = d;
-  while (b != 0) {
-    const i128 t = a % b;
-    a = b;
-    b = t;
-  }
-  const i128 g = a == 0 ? 1 : a;
-  n /= g;
-  d /= g;
-  if (n > INT64_MAX || n < INT64_MIN || d > INT64_MAX) {
+  const WideRational w(n, d);
+  if (w.num > INT64_MAX || w.num < INT64_MIN || w.den > INT64_MAX) {
     throw NumericOverflow("Rational::from_int128 (reduced value exceeds int64)");
   }
   Rational r;
-  r.num_ = n == 0 ? 0 : static_cast<std::int64_t>(n);
-  r.den_ = n == 0 ? 1 : static_cast<std::int64_t>(d);
+  r.num_ = static_cast<std::int64_t>(w.num);
+  r.den_ = static_cast<std::int64_t>(w.den);
   return r;
 }
 
@@ -81,18 +68,10 @@ Rational Rational::operator-() const {
 }
 
 Rational Rational::operator+(const Rational& o) const {
-  const i128 n = static_cast<i128>(num_) * o.den_ + static_cast<i128>(o.num_) * den_;
-  const i128 d = static_cast<i128>(den_) * o.den_;
   // Reduce in 128 bits before narrowing.
-  i128 a = n < 0 ? -n : n;
-  i128 b = d;
-  while (b != 0) {
-    const i128 t = a % b;
-    a = b;
-    b = t;
-  }
-  const i128 g = a == 0 ? 1 : a;
-  return Rational(checked_narrow(n / g), checked_narrow(d / g));
+  const WideRational sum(static_cast<i128>(num_) * o.den_ + static_cast<i128>(o.num_) * den_,
+                         static_cast<i128>(den_) * o.den_);
+  return Rational(checked_narrow(sum.num), checked_narrow(sum.den));
 }
 
 Rational Rational::operator-(const Rational& o) const { return *this + (-o); }
@@ -136,6 +115,42 @@ std::strong_ordering compare_fraction(std::int64_t a, std::int64_t b, const Rati
   if (lhs < rhs) return std::strong_ordering::less;
   if (lhs > rhs) return std::strong_ordering::greater;
   return std::strong_ordering::equal;
+}
+
+WideRational::WideRational(int128 n, int128 d) {
+  if (d == 0) throw std::invalid_argument("mcr::Rational: zero denominator");
+  if (d < 0) {
+    n = -n;
+    d = -d;
+  }
+  i128 a = n < 0 ? -n : n;
+  i128 b = d;
+  while (b != 0) {
+    const i128 t = a % b;
+    a = b;
+    b = t;
+  }
+  const i128 g = a == 0 ? d : a;
+  num = n / g;
+  den = d / g;
+}
+
+bool operator<(const WideRational& a, const WideRational& b) {
+  // Compare the continued fractions: integer parts first, then, on a
+  // tie, the fractional parts x < y as 1/y < 1/x. The denominators
+  // shrink like Euclid's, and no product leaves 128 bits.
+  const auto floor_div = [](i128 n, i128 d) { return n / d - (n % d < 0 ? 1 : 0); };
+  i128 an = a.num, ad = a.den, bn = b.num, bd = b.den;
+  for (;;) {
+    const i128 qa = floor_div(an, ad);
+    const i128 qb = floor_div(bn, bd);
+    if (qa != qb) return qa < qb;
+    an -= qa * ad;
+    bn -= qb * bd;
+    if (an == 0 || bn == 0) return an == 0 && bn != 0;
+    std::swap(an, bd);
+    std::swap(ad, bn);
+  }
 }
 
 }  // namespace mcr

@@ -33,9 +33,8 @@ class Rational {
 
   /// The rational n/d from 128-bit parts: reduces in 128 bits first and
   /// throws NumericOverflow only when the *reduced* fraction still does
-  /// not fit in int64. Karp's formula (algo/karp_family.h) and the
-  /// 128-bit cycle sums of cycle_mean/cycle_ratio build their values
-  /// through this.
+  /// not fit in int64. Karp's formula (algo/karp_family.h) and
+  /// WideRational::to_rational build their values through this.
   [[nodiscard]] static Rational from_int128(int128 n, int128 d);
 
   [[nodiscard]] constexpr std::int64_t num() const { return num_; }
@@ -77,6 +76,29 @@ std::ostream& operator<<(std::ostream& os, const Rational& r);
 /// Rational; used in solver inner loops.
 [[nodiscard]] std::strong_ordering compare_fraction(std::int64_t a, std::int64_t b,
                                                     const Rational& r);
+
+/// A rational with 128-bit parts, den > 0, in lowest terms: the exact
+/// value of any cycle, also where Rational's int64 parts cannot hold it.
+/// Solvers search with it and narrow only their answer (to_rational).
+struct WideRational {
+  int128 num = 0;
+  int128 den = 1;
+
+  WideRational() = default;
+  /// n/d reduced, sign on the numerator. Requires d != 0.
+  WideRational(int128 n, int128 d);
+  // NOLINTNEXTLINE(google-explicit-constructor): every Rational is one.
+  WideRational(const Rational& r) : num(r.num()), den(r.den()) {}
+
+  /// Throws NumericOverflow when the value does not fit Rational.
+  [[nodiscard]] Rational to_rational() const { return Rational::from_int128(num, den); }
+  /// Closest double; equal to Rational::to_double() for the same value.
+  [[nodiscard]] double to_double() const {
+    return static_cast<double>(num) / static_cast<double>(den);
+  }
+  /// Exact for all values, without the 256-bit cross products.
+  friend bool operator<(const WideRational& a, const WideRational& b);
+};
 
 }  // namespace mcr
 

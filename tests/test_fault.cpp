@@ -23,6 +23,7 @@
 #include "core/registry.h"
 #include "core/verify.h"
 #include "fault/fault.h"
+#include "gen/sprand.h"
 #include "graph/bellman_ford.h"
 #include "graph/builder.h"
 #include "graph/io.h"
@@ -91,22 +92,6 @@ TEST(Checked, WrapBoundaries) {
   EXPECT_EQ(checked_mul(kMax / 2, 2), kMax - 1);
   EXPECT_THROW((void)checked_mul(kMax / 2 + 1, 2), NumericOverflow);
   EXPECT_THROW((void)checked_mul(kMin, -1), NumericOverflow);
-
-  EXPECT_EQ(checked_neg(kMax), -kMax);
-  EXPECT_EQ(checked_neg(kMin + 1), kMax);
-  EXPECT_THROW((void)checked_neg(kMin), NumericOverflow);  // the one bad negation
-}
-
-TEST(Checked, CheckedI64BehavesLikeInt64UntilOverflow) {
-  CheckedI64 acc(40);
-  acc += CheckedI64(2);
-  EXPECT_EQ(acc.value(), 42);
-  EXPECT_LT(CheckedI64(1), CheckedI64(2));
-  EXPECT_EQ(CheckedI64(7), CheckedI64(7));
-  EXPECT_EQ((-CheckedI64(5)).value(), -5);
-  EXPECT_THROW((void)(CheckedI64(kMax) + CheckedI64(1)), NumericOverflow);
-  EXPECT_THROW((void)(CheckedI64(kMin) - CheckedI64(1)), NumericOverflow);
-  EXPECT_THROW((void)-CheckedI64(kMin), NumericOverflow);
 }
 
 TEST(Checked, RandomizedAgainstInt128Reference) {
@@ -282,6 +267,89 @@ TEST(Promotion, BellmanFordPromotesOnHugeCosts) {
   EXPECT_TRUE(r.has_negative_cycle);
   EXPECT_EQ(r.cycle.size(), 3u);
   EXPECT_GT(counters.numeric_promotions, 0u);
+
+  // The width boundary: every potential of an n-node graph is a walk of
+  // at most n+1 arcs, so a cost of magnitude c runs in int64 exactly
+  // when (n+1) * c stays below INT64_MAX / 4. A 4-ring one below that
+  // limit and one step past it gives the same verdict and the same
+  // cycle; only the width moves.
+  constexpr std::int64_t kLimit = std::numeric_limits<std::int64_t>::max() / 4;
+  constexpr std::int64_t kBelow = (kLimit - 1) / 5;
+  static_assert(5 * kBelow == kLimit - 1);
+  GraphBuilder rb(4);
+  for (NodeId u = 0; u < 4; ++u) rb.add_arc(u, (u + 1) % 4, 0);
+  const Graph ring = rb.build();
+  std::vector<std::vector<ArcId>> cycles;
+  for (const std::int64_t c : {kBelow, kBelow + 1}) {
+    const std::vector<std::int64_t> ring_cost(4, -c);
+    OpCounters ring_counters;
+    const BellmanFordResult rr = bellman_ford_all(ring, ring_cost, &ring_counters);
+    EXPECT_TRUE(rr.has_negative_cycle) << "c=" << c;
+    EXPECT_EQ(rr.cycle.size(), 4u) << "c=" << c;
+    EXPECT_EQ(ring_counters.numeric_promotions, c == kBelow ? 0u : 1u) << "c=" << c;
+    cycles.push_back(rr.cycle);
+  }
+  EXPECT_EQ(cycles[0], cycles[1]);
+}
+
+TEST(Promotion, EverySolverExactOnHugeWeights) {
+  // Every registered solver but brute force, held to the value
+  // cycle_cancel finds and to the exact certificate on graphs whose
+  // cycle sums (or Howard's scaled distances) leave int64.
+  constexpr std::int64_t kHuge = 3'000'000'000'000'000'000;
+  const auto ring = [](std::int64_t w, std::vector<std::int64_t> transit) {
+    GraphBuilder b(static_cast<NodeId>(transit.size()));
+    for (std::size_t u = 0; u < transit.size(); ++u) {
+      b.add_arc(static_cast<NodeId>(u), static_cast<NodeId>((u + 1) % transit.size()), w,
+                transit[u]);
+    }
+    return b.build();
+  };
+  const auto sprand = [](NodeId n, ArcId m, std::int64_t w, std::uint64_t seed) {
+    return gen::sprand({.n = n,
+                        .m = m,
+                        .min_weight = -w,
+                        .max_weight = w,
+                        .min_transit = 1,
+                        .max_transit = 9,
+                        .seed = seed});
+  };
+  GraphBuilder mixed(4);  // p mcr 4 5: its lambda-costs leave int64
+  mixed.add_arc(0, 1, 3'000'000'000'000'000'000);
+  mixed.add_arc(1, 2, 3'000'000'000'000'000'000);
+  mixed.add_arc(2, 0, 3'000'000'000'000'000'001);
+  mixed.add_arc(0, 3, 4'000'000'000'000'000'000);
+  mixed.add_arc(3, 0, 4'000'000'000'000'000'000);
+
+  std::vector<std::pair<std::string, Graph>> mean_graphs;
+  mean_graphs.emplace_back("ring +W", ring(kHuge, {1, 1, 1, 1}));
+  mean_graphs.emplace_back("ring -W", ring(-kHuge, {1, 1, 1, 1}));
+  mean_graphs.emplace_back("mixed", mixed.build());
+  mean_graphs.emplace_back("sprand seed 2", sprand(6, 12, 329'406'144'173'384'850, 2));
+  std::vector<std::pair<std::string, Graph>> ratio_graphs;
+  ratio_graphs.emplace_back("ratio ring +W", ring(kHuge, {2, 3, 1, 2}));
+  ratio_graphs.emplace_back("ratio ring -W", ring(-kHuge, {2, 3, 1, 2}));
+  ratio_graphs.emplace_back("sprand seed 545", sprand(4, 8, 461'168'601'842'738'790, 545));
+
+  for (const ProblemKind kind : {ProblemKind::kCycleMean, ProblemKind::kCycleRatio}) {
+    const bool mean = kind == ProblemKind::kCycleMean;
+    const auto solve = [&](const Graph& g, const std::string& name) {
+      const auto solver = SolverRegistry::instance().create(name);
+      return mean ? minimum_cycle_mean(g, *solver) : minimum_cycle_ratio(g, *solver);
+    };
+    for (const auto& [label, g] : mean ? mean_graphs : ratio_graphs) {
+      const CycleResult ref = solve(g, mean ? "cycle_cancel" : "cycle_cancel_ratio");
+      ASSERT_TRUE(ref.has_cycle) << label;
+      for (const std::string& name : SolverRegistry::instance().names(kind)) {
+        if (name.rfind("brute_force", 0) == 0) continue;
+        const CycleResult r = solve(g, name);
+        ASSERT_TRUE(r.has_cycle) << name << " on " << label;
+        EXPECT_EQ(r.value, ref.value) << name << " on " << label;
+        const auto cert = verify_result(g, r, kind);
+        EXPECT_TRUE(cert.ok) << name << " on " << label << ": " << cert.message;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "graph/builder.h"
@@ -85,6 +87,18 @@ TEST(Graph, WeightExtremesAndTransitTotal) {
   EXPECT_EQ(g.min_weight(), -7);
   EXPECT_EQ(g.max_weight(), 13);
   EXPECT_EQ(g.total_transit(), 7);
+
+  // The total must itself be an int64: INT64_MAX is the largest accepted,
+  // and two transits of 5e18 are rejected instead of wrapping.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  GraphBuilder at_max(2);
+  at_max.add_arc(0, 1, 1, kMax - 1);
+  at_max.add_arc(1, 0, 1, 1);
+  EXPECT_EQ(at_max.build().total_transit(), kMax);
+  GraphBuilder beyond(2);
+  beyond.add_arc(0, 1, 1, 5'000'000'000'000'000'000);
+  beyond.add_arc(1, 0, 1, 5'000'000'000'000'000'000);
+  EXPECT_THROW((void)beyond.build(), std::invalid_argument);
 }
 
 TEST(Graph, OutOfRangeEndpointsThrow) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <sstream>
 #include <stdexcept>
+
+#include "support/checked.h"
 
 namespace mcr {
 namespace {
@@ -146,6 +150,44 @@ TEST(Rational, AdditionReducesIn128Bits) {
   const Rational a(1, d);
   const Rational b(d - 1, d);
   EXPECT_EQ(a + b, Rational(1));
+}
+
+TEST(Rational, WideRationalReducesAndNarrows) {
+  const WideRational w(int128{-6}, int128{-4});
+  EXPECT_EQ(w.num, 3);
+  EXPECT_EQ(w.den, 2);
+  const WideRational neg(int128{3}, int128{-6});
+  EXPECT_EQ(neg.num, -1);
+  EXPECT_EQ(neg.den, 2);
+  EXPECT_EQ(WideRational(int128{0}, int128{-7}).den, 1);
+  EXPECT_THROW((void)WideRational(int128{1}, int128{0}), std::invalid_argument);
+  EXPECT_EQ(WideRational(Rational(-5, 3)).to_rational(), Rational(-5, 3));
+  // Beyond int64 only once narrowed: 2^64 / 3 is a fine WideRational.
+  const WideRational beyond(int128{1} << 64, int128{3});
+  EXPECT_THROW((void)beyond.to_rational(), NumericOverflow);
+}
+
+TEST(Rational, WideRationalOrdersExactly) {
+  // (2^100 + 1) / 2^62 < 2^100 / (2^62 - 1): the cross products need
+  // 163 bits, and the two values differ by about 2^-24.
+  const int128 p100 = int128{1} << 100;
+  const int128 p62 = int128{1} << 62;
+  const WideRational a(p100 + 1, p62);
+  const WideRational b(p100, p62 - 1);
+  EXPECT_TRUE(a < b);
+  EXPECT_FALSE(b < a);
+  EXPECT_FALSE(a < a);
+  EXPECT_TRUE(WideRational(-p100, p62) < WideRational(-p100 + 1, p62));
+  // Agrees with Rational's order, and with its to_double, on int64 values.
+  std::mt19937_64 rng(20261017);
+  std::uniform_int_distribution<std::int64_t> num(-1'000'000'000'000, 1'000'000'000'000);
+  std::uniform_int_distribution<std::int64_t> den(1, 1'000'000);
+  for (int i = 0; i < 10'000; ++i) {
+    const Rational x(num(rng) / (i % 7 + 1), den(rng));
+    const Rational y = i % 5 == 0 ? x : Rational(num(rng), den(rng));
+    EXPECT_EQ(WideRational(x) < WideRational(y), x < y) << x << " vs " << y;
+    EXPECT_EQ(WideRational(x).to_double(), x.to_double()) << x;
+  }
 }
 
 }  // namespace

@@ -8,8 +8,9 @@
 // workers (0 = hardware), so the fuzzer also cross-checks the
 // determinism of the parallel merge.
 //
-// Each trial draws a random instance (SPRAND / circuit / structured,
-// random shape parameters), runs every registered solver of the problem
+// Each trial draws a random instance (SPRAND / circuit / structured, or
+// SPRAND with weights up to 2^61 so cycle sums leave int64; random shape
+// parameters), runs every registered solver of the problem
 // kind, and checks that (a) all values agree exactly and (b) EVERY
 // solver's result passes the exact optimality certificate — a solver
 // returning the right value with a bogus witness cycle is caught. Any
@@ -33,6 +34,7 @@
 #include "obs/build_info.h"
 #include "graph/io.h"
 #include "obs/trace_recorder.h"
+#include "support/checked.h"
 #include "support/prng.h"
 
 namespace {
@@ -45,19 +47,33 @@ struct Instance {
   /// shape parameter below is drawn so it round-trips through mcr_gen's
   /// integer flags exactly.
   std::string repro;
+  /// True for the numeric edge family (SPRAND with huge weights).
+  bool huge_weights = false;
 };
 
+/// The numeric edge family's weight magnitude: a ring of two such arcs
+/// already leaves the integer-range rule (support/int_range.h), so every
+/// solver takes its promotion or its exact finish.
+constexpr std::int64_t kHugeWeight = std::int64_t{1} << 61;
+
 Instance random_instance(Prng& rng, NodeId max_n, bool ratio, bool negative) {
-  const int family = static_cast<int>(rng.uniform_int(0, 3));
+  const int family = static_cast<int>(rng.uniform_int(0, 4));
   const NodeId n = static_cast<NodeId>(rng.uniform_int(4, max_n));
   switch (family) {
     case 0:
-    case 1: {  // SPRAND dominates, as in the paper
+    case 1:    // SPRAND dominates, as in the paper
+    case 4: {  // the numeric edge family: SPRAND with weights up to 2^61
+      const bool huge = family == 4;
       gen::SprandConfig cfg;
       cfg.n = n;
       cfg.m = n + static_cast<ArcId>(rng.uniform_int(0, 3 * n));
-      cfg.min_weight = negative && rng.bernoulli(0.5) ? -10000 : 1;
-      cfg.max_weight = 10000;
+      if (huge) {
+        cfg.min_weight = negative ? -kHugeWeight : 1;
+        cfg.max_weight = kHugeWeight;
+      } else {
+        cfg.min_weight = negative && rng.bernoulli(0.5) ? -10000 : 1;
+        cfg.max_weight = 10000;
+      }
       if (ratio) {
         cfg.min_transit = 1;
         cfg.max_transit = rng.uniform_int(1, 8);
@@ -72,7 +88,7 @@ Instance random_instance(Prng& rng, NodeId max_n, bool ratio, bool negative) {
                  std::to_string(cfg.max_transit);
       }
       repro += " --seed " + std::to_string(cfg.seed);
-      return {gen::sprand(cfg), std::move(repro)};
+      return {gen::sprand(cfg), std::move(repro), huge};
     }
     case 2: {
       gen::CircuitConfig cfg;
@@ -116,8 +132,11 @@ void dump_failure(const Graph& g, const Instance& inst, std::uint64_t master_see
   SolveOptions traced = solve_options;
   traced.trace = &recorder;
   const auto solver = SolverRegistry::instance().create(solver_name);
-  (void)(ratio ? minimum_cycle_ratio(g, *solver, traced)
-               : minimum_cycle_mean(g, *solver, traced));
+  try {
+    (void)(ratio ? minimum_cycle_ratio(g, *solver, traced)
+                 : minimum_cycle_mean(g, *solver, traced));
+  } catch (const NumericOverflow&) {
+  }
   std::ofstream out(trace_out);
   if (out) {
     recorder.write_chrome_trace(out);
@@ -157,26 +176,31 @@ int main(int argc, char** argv) {
     std::cout << "fuzzing " << solvers.size() << " solvers, " << trials << " trials ("
               << (ratio ? "ratio" : "mean") << "), seed " << master_seed << "\n";
 
+    std::int64_t huge_trials = 0;
+    std::int64_t overflow_trials = 0;
     for (std::int64_t trial = 0; trial < trials; ++trial) {
       const Instance inst = random_instance(
           rng, static_cast<NodeId>(opt.get_int("max-n", 96)), ratio, opt.has("negative"));
       const Graph& g = inst.graph;
-      bool have_ref = false;
-      Rational reference;
-      bool first = true;
+      if (inst.huge_weights) ++huge_trials;
+      std::string reference;
       for (const auto& name : solvers) {
         const auto solver = SolverRegistry::instance().create(name);
-        const CycleResult r = ratio ? minimum_cycle_ratio(g, *solver, solve_options)
-                                    : minimum_cycle_mean(g, *solver, solve_options);
-        if (first) {
-          first = false;
-          have_ref = r.has_cycle;
-          if (r.has_cycle) reference = r.value;
-        } else if (r.has_cycle != have_ref || (r.has_cycle && r.value != reference)) {
+        // An optimum whose reduced value leaves int64 is reported as
+        // NumericOverflow; then every solver must report it.
+        CycleResult r;
+        std::string outcome = "overflow";
+        try {
+          r = ratio ? minimum_cycle_ratio(g, *solver, solve_options)
+                    : minimum_cycle_mean(g, *solver, solve_options);
+          outcome = r.has_cycle ? r.value.to_string() : "acyclic";
+        } catch (const NumericOverflow&) {
+        }
+        if (reference.empty()) {
+          reference = outcome;
+        } else if (outcome != reference) {
           std::cerr << "\nMISMATCH at trial " << trial << ": " << solvers.front() << "="
-                    << (have_ref ? reference.to_string() : "acyclic") << " vs " << name
-                    << "=" << (r.has_cycle ? r.value.to_string() : "acyclic")
-                    << "\ninstance:\n";
+                    << reference << " vs " << name << "=" << outcome << "\ninstance:\n";
           dump_failure(g, inst, master_seed, name, ratio, solve_options, trace_out);
           return 1;
         }
@@ -193,11 +217,14 @@ int main(int argc, char** argv) {
           }
         }
       }
+      if (reference == "overflow") ++overflow_trials;
       if (verbose || (trial + 1) % 50 == 0) {
         std::cout << "  trial " << (trial + 1) << "/" << trials << " ok\n";
       }
     }
-    std::cout << "all " << trials << " trials agree and certify\n";
+    std::cout << "all " << trials << " trials agree and certify (" << huge_trials
+              << " with weights up to 2^61, " << overflow_trials
+              << " with an optimum beyond int64)\n";
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "mcr_fuzz: " << e.what() << "\n";
