@@ -48,7 +48,8 @@ class BurnsSolver final : public Solver {
   }
   [[nodiscard]] ProblemKind kind() const override { return kind_; }
 
-  [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
+  [[nodiscard]] CycleResult solve_scc(const Graph& g,
+                                      const TileExec& /*tiles*/) const override {
     const NodeId n = g.num_nodes();
     const std::size_t un = static_cast<std::size_t>(n);
     const ArcId m = g.num_arcs();

@@ -31,7 +31,8 @@ class CycleCancelSolver final : public Solver {
   }
   [[nodiscard]] ProblemKind kind() const override { return kind_; }
 
-  [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
+  [[nodiscard]] CycleResult solve_scc(const Graph& g,
+                                      const TileExec& /*tiles*/) const override {
     CycleResult result;
     finish_exact(g, kind_, {}, result);
     result.counters.iterations = result.counters.feasibility_checks;

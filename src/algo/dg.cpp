@@ -104,7 +104,8 @@ class DgSolver final : public Solver {
   [[nodiscard]] std::string name() const override { return "dg"; }
   [[nodiscard]] ProblemKind kind() const override { return ProblemKind::kCycleMean; }
 
-  [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
+  [[nodiscard]] CycleResult solve_scc(const Graph& g,
+                                      const TileExec& /*tiles*/) const override {
     const NodeId n = g.num_nodes();
     CycleResult result;
     // Every arena entry is the weight of a walk of at most n arcs.

@@ -46,10 +46,6 @@ class HoSolver final : public Solver {
   [[nodiscard]] std::string name() const override { return "ho"; }
   [[nodiscard]] ProblemKind kind() const override { return ProblemKind::kCycleMean; }
 
-  [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
-    return solve_scc(g, TileExec{});
-  }
-
   [[nodiscard]] CycleResult solve_scc(const Graph& g,
                                       const TileExec& tiles) const override {
     const int128 n = g.num_nodes();

@@ -104,7 +104,8 @@ class HartmannOrlinRatioSolver final : public Solver {
   [[nodiscard]] std::string name() const override { return "ho_ratio"; }
   [[nodiscard]] ProblemKind kind() const override { return ProblemKind::kCycleRatio; }
 
-  [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
+  [[nodiscard]] CycleResult solve_scc(const Graph& g,
+                                      const TileExec& /*tiles*/) const override {
     const NodeId n = g.num_nodes();
     const std::int64_t total = g.total_transit();
     CycleResult result;

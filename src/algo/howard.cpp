@@ -70,10 +70,6 @@ class HowardSolver final : public Solver {
   }
   [[nodiscard]] ProblemKind kind() const override { return kind_; }
 
-  [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
-    return solve_scc(g, TileExec{});
-  }
-
   [[nodiscard]] CycleResult solve_scc(const Graph& g,
                                       const TileExec& tiles) const override {
     const NodeId n = g.num_nodes();

@@ -72,10 +72,6 @@ class KarpSolver final : public Solver {
   [[nodiscard]] std::string name() const override { return "karp"; }
   [[nodiscard]] ProblemKind kind() const override { return ProblemKind::kCycleMean; }
 
-  [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
-    return solve_scc(g, TileExec{});
-  }
-
   [[nodiscard]] CycleResult solve_scc(const Graph& g,
                                       const TileExec& tiles) const override {
     const NodeId n = g.num_nodes();

@@ -68,10 +68,6 @@ class Karp2Solver final : public Solver {
   [[nodiscard]] std::string name() const override { return "karp2"; }
   [[nodiscard]] ProblemKind kind() const override { return ProblemKind::kCycleMean; }
 
-  [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
-    return solve_scc(g, TileExec{});
-  }
-
   [[nodiscard]] CycleResult solve_scc(const Graph& g,
                                       const TileExec& tiles) const override {
     const NodeId n = g.num_nodes();

@@ -24,7 +24,8 @@ class KoSolver final : public Solver {
   }
   [[nodiscard]] ProblemKind kind() const override { return kind_; }
 
-  [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
+  [[nodiscard]] CycleResult solve_scc(const Graph& g,
+                                      const TileExec& /*tiles*/) const override {
     switch (heap_) {
       case HeapKind::kFibonacci:
         return detail::solve_ko_with<FibonacciHeap>(g, kind_);

@@ -46,10 +46,6 @@ class LawlerSolver final : public Solver {
   }
   [[nodiscard]] ProblemKind kind() const override { return kind_; }
 
-  [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
-    return solve_scc(g, TileExec{});
-  }
-
   [[nodiscard]] CycleResult solve_scc(const Graph& g,
                                       const TileExec& tiles) const override {
     const ArcId m = g.num_arcs();

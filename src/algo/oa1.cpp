@@ -41,7 +41,8 @@ class Oa1Solver final : public Solver {
   [[nodiscard]] std::string name() const override { return "oa1"; }
   [[nodiscard]] ProblemKind kind() const override { return ProblemKind::kCycleMean; }
 
-  [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
+  [[nodiscard]] CycleResult solve_scc(const Graph& g,
+                                      const TileExec& /*tiles*/) const override {
     const NodeId n = g.num_nodes();
     const ArcId m = g.num_arcs();
     CycleResult result;

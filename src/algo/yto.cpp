@@ -25,7 +25,8 @@ class YtoSolver final : public Solver {
   }
   [[nodiscard]] ProblemKind kind() const override { return kind_; }
 
-  [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
+  [[nodiscard]] CycleResult solve_scc(const Graph& g,
+                                      const TileExec& /*tiles*/) const override {
     switch (heap_) {
       case HeapKind::kFibonacci:
         return detail::solve_yto_with<FibonacciHeap>(g, kind_);

@@ -178,16 +178,6 @@ std::map<std::string, double> phase_breakdown(const std::string& name, const Gra
   return recorder.span_totals();
 }
 
-TimedBatch time_solver_batch(const std::string& name, std::span<const Graph> graphs,
-                             const SolveOptions& options) {
-  const auto solver = SolverRegistry::instance().create(name);
-  TimedBatch out;
-  Timer timer;
-  out.results = solve_many(graphs, *solver, options);
-  out.seconds = timer.seconds();
-  return out;
-}
-
 double default_time_budget() {
   switch (bench_scale()) {
     case Scale::kSmall:

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -37,16 +36,6 @@ struct TimedRun {
 [[nodiscard]] TimedRun time_solver(const std::string& name, const Graph& g,
                                    std::size_t mem_budget_bytes = 2ULL << 30,
                                    const SolveOptions& options = {});
-
-/// Timed batch solve of many instances through solve_many — the
-/// "serving" workload: one request stream, per-instance parallelism.
-struct TimedBatch {
-  double seconds = 0.0;
-  std::vector<CycleResult> results;
-};
-[[nodiscard]] TimedBatch time_solver_batch(const std::string& name,
-                                           std::span<const Graph> graphs,
-                                           const SolveOptions& options = {});
 
 /// Estimated peak scratch bytes for a solver on an (n, m) instance;
 /// only the Karp-family quadratic-space algorithms matter.

@@ -20,7 +20,8 @@ class BruteForceSolver final : public Solver {
 
   [[nodiscard]] ProblemKind kind() const override { return kind_; }
 
-  [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
+  [[nodiscard]] CycleResult solve_scc(const Graph& g,
+                                      const TileExec& /*tiles*/) const override {
     CycleResult best;
     WideRational best_value;
     enumerate_simple_cycles(

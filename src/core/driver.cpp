@@ -55,7 +55,6 @@ void record_pool_metrics(obs::MetricsRegistry& metrics, const ThreadPool& pool) 
       return obs::labeled_name(base, {{"worker", worker}});
     };
     metrics.counter(name("mcr_pool_tasks_total")).add(stats[w].tasks_executed);
-    metrics.counter(name("mcr_pool_steals_total")).add(stats[w].steals);
     metrics.counter(name("mcr_pool_idle_microseconds_total"))
         .add(static_cast<std::uint64_t>(stats[w].idle_seconds * 1e6));
   }
@@ -279,8 +278,7 @@ CycleResult solve_decomposed(const Graph& g, const Solver& solver,
     }
   }
 
-  // The pool's work is done (tile waves and component tasks both drain
-  // through run_indexed's wait_idle); record its utilization
+  // The pool's last wave has returned; record its utilization
   // exactly once per pool lifetime — see record_pool_metrics.
   if (pool && options.metrics != nullptr) {
     record_pool_metrics(*options.metrics, *pool);

@@ -37,19 +37,19 @@ class Solver {
   /// may leave `cycle` empty — the driver then recovers a witness once,
   /// for the winning component, via extract_optimal_cycle().
   /// Preconditions are the caller's responsibility (see core/driver.h).
-  [[nodiscard]] virtual CycleResult solve_scc(const Graph& g) const = 0;
-
-  /// Tile-aware variant: the driver passes its TileExec so solvers with
-  /// tiled relaxation kernels (Bellman-Ford-based probes, the Karp
-  /// family, Howard's improve step) can spread one component's sweeps
-  /// across the worker pool. The default ignores the hint — every
-  /// solver remains correct untiled — and overriders must return a
-  /// result bit-identical to solve_scc(g) for every tile size and
-  /// thread count (the driver's determinism contract).
+  ///
+  /// The driver passes its TileExec so solvers with tiled relaxation
+  /// kernels (Bellman-Ford-based probes, the Karp family, Howard's
+  /// improve step) can spread one component's sweeps across the worker
+  /// pool; the other solvers ignore it. The result must not depend on
+  /// the tile size or the thread count (the driver's determinism
+  /// contract).
   [[nodiscard]] virtual CycleResult solve_scc(const Graph& g,
-                                              const TileExec& tiles) const {
-    (void)tiles;
-    return solve_scc(g);
+                                              const TileExec& tiles) const = 0;
+
+  /// Untiled solve.
+  [[nodiscard]] CycleResult solve_scc(const Graph& g) const {
+    return solve_scc(g, TileExec{});
   }
 };
 

@@ -41,8 +41,8 @@ enum class Site : std::uint8_t {
   kAlloc = 0,    // allocation boundary (request handling, job setup)
   kSockRead,     // one read() attempt inside a full-read helper
   kSockWrite,    // one send()/write() attempt inside a full-write helper
-  kWorkerStall,  // thread-pool worker, drawn once per executed task
-  kWorkerDeath,  // thread-pool worker, drawn once per executed task
+  kWorkerStall,  // thread-pool worker, drawn once per index it runs
+  kWorkerDeath,  // thread-pool worker, drawn once per index it runs
   kClockSkip,    // deadline set-up (simulated clock jump)
   kPhase,        // driver phase boundary (per component solve)
 };
@@ -56,8 +56,8 @@ enum class Action : std::uint8_t {
   kShort,  // socket op: transfer at most 1 byte this attempt
   kEintr,  // socket op: fail with errno = EINTR, no syscall issued
   kReset,  // socket op: fail with errno = ECONNRESET, no syscall issued
-  kStall,  // worker: sleep param milliseconds before the task
-  kDeath,  // worker: exit the thread after the task (pool respawns)
+  kStall,  // worker: sleep param milliseconds before the index
+  kDeath,  // worker: exit the thread after the index (run() replaces it)
   kSkip,   // clock: move the deadline param milliseconds into the past
 };
 [[nodiscard]] const char* to_string(Action action);

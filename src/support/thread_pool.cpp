@@ -8,6 +8,21 @@
 
 namespace mcr {
 
+/// One run() call. Shared between run() and the workers that joined it,
+/// so a worker that claims nothing may still touch `next` after run()
+/// has returned; `task` is called only for claimed indices, all of
+/// which finish before run() returns.
+struct ThreadPool::Wave {
+  Wave(std::size_t count, const std::function<void(std::size_t)>& fn)
+      : task(fn), n(count), errors(count) {}
+
+  const std::function<void(std::size_t)>& task;
+  const std::size_t n;
+  std::atomic<std::size_t> next{0};      // next index to claim
+  std::atomic<std::size_t> finished{0};  // indices run to completion
+  std::vector<std::exception_ptr> errors;  // slot i written by i's worker only
+};
+
 int ThreadPool::hardware_threads() {
   const unsigned h = std::thread::hardware_concurrency();
   return h == 0 ? 1 : static_cast<int>(h);
@@ -17,139 +32,103 @@ ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) num_threads = hardware_threads();
   workers_.reserve(static_cast<std::size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(static_cast<std::size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this, i] { worker_main(static_cast<std::size_t>(i)); });
+    Worker& w = *workers_.emplace_back(std::make_unique<Worker>());
+    w.thread = std::thread([this, &w] { worker_main(w, 0); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lk(sleep_mutex_);
-    stop_.store(true, std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lk(mutex_);
+    stop_ = true;
   }
-  work_available_.notify_all();
-  // Collect handles under threads_mutex_: once stop_ is set a dying
-  // worker declines its death (retire_and_respawn checks stop_ under
-  // the same mutex), so the set of handles is final after this move.
-  std::vector<std::thread> to_join;
+  wave_posted_.notify_all();
+  // run() replaced every dead worker before it returned, so each slot
+  // holds exactly one live thread.
+  for (const auto& w : workers_) w->thread.join();
+}
+
+void ThreadPool::run(std::size_t n, const std::function<void(std::size_t)>& task) {
+  if (n == 0) return;
+  const auto wave = std::make_shared<Wave>(n, task);
   {
-    std::lock_guard<std::mutex> lk(threads_mutex_);
-    to_join = std::move(threads_);
-    for (std::thread& t : retired_) to_join.push_back(std::move(t));
-    retired_.clear();
+    const std::lock_guard<std::mutex> lk(mutex_);
+    wave_ = wave;
+    ++waves_posted_;
   }
-  for (std::thread& t : to_join) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  const std::size_t w =
-      next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  unfinished_.fetch_add(1, std::memory_order_relaxed);
+  wave_posted_.notify_all();
   {
-    std::lock_guard<std::mutex> lk(workers_[w]->mutex);
-    workers_[w]->tasks.push_back(std::move(task));
-  }
-  queued_.fetch_add(1, std::memory_order_release);
-  {
-    // Taking the sleep mutex serializes against a worker that has just
-    // found every deque empty and is about to wait — without it the
-    // notify could fire in that window and be lost.
-    std::lock_guard<std::mutex> lk(sleep_mutex_);
-  }
-  work_available_.notify_one();
-}
-
-bool ThreadPool::run_one(std::size_t self) {
-  std::function<void()> task;
-  const std::size_t k = workers_.size();
-  for (std::size_t i = 0; i < k; ++i) {
-    Worker& victim = *workers_[(self + i) % k];
-    std::lock_guard<std::mutex> lk(victim.mutex);
-    if (victim.tasks.empty()) continue;
-    if (i == 0) {  // own deque: front (LIFO locality)
-      task = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-    } else {  // steal: opposite end
-      task = std::move(victim.tasks.back());
-      victim.tasks.pop_back();
-      workers_[self]->steals.fetch_add(1, std::memory_order_relaxed);
-    }
-    break;
-  }
-  if (!task) return false;
-  queued_.fetch_sub(1, std::memory_order_relaxed);
-  // One stall/death draw per task (not per scheduling loop), so a given
-  // fault plan injects the same number of worker faults regardless of
-  // how the OS interleaves the workers.
-  const fault::Decision stall = MCR_FAULT_POINT(fault::Site::kWorkerStall);
-  if (stall.action == fault::Action::kStall) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(stall.param));
-  }
-  try {
-    task();
-  } catch (...) {
-    // Tasks own their error channel (core/driver.cpp captures a
-    // per-slot exception_ptr); anything reaching here would otherwise
-    // std::terminate the process, so contain and count it.
-    task_exceptions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  workers_[self]->tasks_executed.fetch_add(1, std::memory_order_relaxed);
-  if (MCR_FAULT_POINT(fault::Site::kWorkerDeath).action == fault::Action::kDeath) {
-    workers_[self]->die_pending = true;
-  }
-  if (unfinished_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lk(sleep_mutex_);
-    all_done_.notify_all();
-  }
-  return true;
-}
-
-bool ThreadPool::retire_and_respawn(std::size_t self) {
-  std::lock_guard<std::mutex> lk(threads_mutex_);
-  if (stop_.load(std::memory_order_relaxed)) return false;  // shutting down
-  deaths_.fetch_add(1, std::memory_order_relaxed);
-  // Moving our own handle is safe (it does not touch the running
-  // thread); the destructor joins it from retired_. The replacement
-  // inherits this worker's slot and therefore its deque — no task is
-  // stranded by the death.
-  retired_.push_back(std::move(threads_[self]));
-  threads_[self] = std::thread([this, self] { worker_main(self); });
-  return true;
-}
-
-void ThreadPool::worker_main(std::size_t self) {
-  for (;;) {
-    if (run_one(self)) {
-      if (workers_[self]->die_pending) {
-        workers_[self]->die_pending = false;
-        if (retire_and_respawn(self)) return;  // this thread "crashes"
+    std::unique_lock<std::mutex> lk(mutex_);
+    for (;;) {
+      wave_progress_.wait(lk, [&] { return !dead_.empty() || wave->finished == n; });
+      // A death mid-wave is replaced at once and the replacement, not
+      // having seen this wave, joins it: a wave never runs out of
+      // workers. The dead thread takes no lock after marking itself
+      // dead, so joining it with mutex_ held cannot deadlock.
+      for (Worker* w : dead_) {
+        w->thread.join();
+        w->thread =
+            std::thread([this, w, seen = waves_posted_ - 1] { worker_main(*w, seen); });
+        deaths_.fetch_add(1, std::memory_order_relaxed);
       }
-      continue;
+      dead_.clear();
+      if (wave->finished == n) break;
     }
-    // Idle accounting brackets the park only (two clock reads on a path
-    // where the worker found every deque empty — noise next to a solve).
+    wave_.reset();
+  }
+  // A late worker may hold the record's last reference; the exceptions
+  // leave it so that this thread, which rethrows them, also frees them.
+  const std::vector<std::exception_ptr> errors = std::move(wave->errors);
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+}
+
+void ThreadPool::worker_main(Worker& self, std::uint64_t seen) {
+  for (;;) {
+    std::shared_ptr<Wave> wave;
     const auto idle_start = std::chrono::steady_clock::now();
     {
-      std::unique_lock<std::mutex> lk(sleep_mutex_);
-      work_available_.wait(lk, [this] {
-        return stop_.load(std::memory_order_relaxed) ||
-               queued_.load(std::memory_order_acquire) > 0;
-      });
+      std::unique_lock<std::mutex> lk(mutex_);
+      wave_posted_.wait(lk, [&] { return stop_ || waves_posted_ != seen; });
+      if (stop_) return;
+      seen = waves_posted_;
+      wave = wave_;
     }
-    workers_[self]->idle_nanos.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - idle_start)
-                .count()),
+    self.idle_nanos.fetch_add(
+        static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                       std::chrono::steady_clock::now() - idle_start)
+                                       .count()),
         std::memory_order_relaxed);
-    if (stop_.load(std::memory_order_relaxed) &&
-        queued_.load(std::memory_order_acquire) == 0) {
-      return;
+    if (!wave) continue;  // woke after run() returned
+
+    for (std::size_t i = wave->next++; i < wave->n; i = wave->next++) {
+      // One stall/death draw per index, so a given fault plan injects
+      // the same number of worker faults however the OS interleaves
+      // the workers.
+      const fault::Decision stall = MCR_FAULT_POINT(fault::Site::kWorkerStall);
+      if (stall.action == fault::Action::kStall) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(stall.param));
+      }
+      try {
+        wave->task(i);
+      } catch (...) {
+        wave->errors[i] = std::current_exception();
+      }
+      self.tasks_executed.fetch_add(1, std::memory_order_relaxed);
+      if (MCR_FAULT_POINT(fault::Site::kWorkerDeath).action == fault::Action::kDeath) {
+        // Dead before finished: run() cannot return without replacing us.
+        const std::lock_guard<std::mutex> lk(mutex_);
+        dead_.push_back(&self);
+        ++wave->finished;
+        wave_progress_.notify_one();
+        return;  // this thread "crashes"
+      }
+      if (++wave->finished == wave->n) {
+        // Taking mutex_ orders this notify after run()'s predicate check.
+        const std::lock_guard<std::mutex> lk(mutex_);
+        wave_progress_.notify_one();
+      }
     }
   }
 }
@@ -160,18 +139,11 @@ std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {
   for (const auto& w : workers_) {
     WorkerStats s;
     s.tasks_executed = w->tasks_executed.load(std::memory_order_relaxed);
-    s.steals = w->steals.load(std::memory_order_relaxed);
     s.idle_seconds =
         static_cast<double>(w->idle_nanos.load(std::memory_order_relaxed)) * 1e-9;
     out.push_back(s);
   }
   return out;
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lk(sleep_mutex_);
-  all_done_.wait(lk,
-                 [this] { return unfinished_.load(std::memory_order_acquire) == 0; });
 }
 
 void run_indexed(ThreadPool* pool, std::size_t n,
@@ -180,20 +152,7 @@ void run_indexed(ThreadPool* pool, std::size_t n,
     for (std::size_t i = 0; i < n; ++i) task(i);
     return;
   }
-  std::vector<std::exception_ptr> errors(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pool->submit([&task, &errors, i] {
-      try {
-        task(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  pool->wait_idle();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  pool->run(n, task);
 }
 
 }  // namespace mcr

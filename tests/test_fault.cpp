@@ -12,8 +12,11 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <limits>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <string>
@@ -562,7 +565,7 @@ TEST(SocketFaults, ReadFrameSurvivesChoppedDelivery) {
 }
 
 // ---------------------------------------------------------------------------
-// Thread pool: stalls delay, deaths respawn, no task is lost.
+// Thread pool: stalls delay, deaths are replaced, no index is lost.
 
 TEST(PoolFaults, SurvivesWorkerStallsAndDeaths) {
   MCR_REQUIRE_HOOKS();
@@ -572,13 +575,43 @@ TEST(PoolFaults, SurvivesWorkerStallsAndDeaths) {
   std::atomic<int> executed{0};
   {
     ThreadPool pool(2);
-    for (int i = 0; i < 60; ++i) {
-      pool.submit([&executed] { executed.fetch_add(1); });
-    }
-    pool.wait_idle();
+    pool.run(60, [&executed](std::size_t) { executed.fetch_add(1); });
     EXPECT_EQ(executed.load(), 60);
     EXPECT_EQ(pool.deaths(), 3u) << "max_deaths bounds respawns";
-  }  // destructor joins retired + live workers
+  }  // destructor joins the live workers
+  fault::Injector::install(nullptr);
+}
+
+TEST(PoolFaults, DeathOnLastIndexIsReplacedBeforeRunReturns) {
+  MCR_REQUIRE_HOOKS();
+  fault::Injector injector(fault::Plan::parse("worker_death=1,max_deaths=2"));
+  fault::Injector::install(&injector);
+  {
+    ThreadPool pool(2);
+    // A one-index wave's only index is its last, and its worker dies.
+    for (std::uint64_t k = 1; k <= 2; ++k) {
+      pool.run(1, [](std::size_t) {});
+      EXPECT_EQ(pool.deaths(), k) << "run() returned before replacing the worker";
+    }
+    // Deaths spent. Each index now waits until size() indices have
+    // started, which only size() live workers can do: run()'s own
+    // thread never runs an index.
+    std::mutex mutex;
+    std::condition_variable cv;
+    int started = 0;
+    std::atomic<int> timed_out{0};
+    pool.run(static_cast<std::size_t>(pool.size()), [&](std::size_t) {
+      std::unique_lock<std::mutex> lk(mutex);
+      ++started;
+      cv.notify_all();
+      if (!cv.wait_for(lk, std::chrono::seconds(10),
+                       [&] { return started == pool.size(); })) {
+        timed_out.fetch_add(1);
+      }
+    });
+    EXPECT_EQ(started, pool.size());
+    EXPECT_EQ(timed_out.load(), 0) << "fewer than size() live workers";
+  }
   fault::Injector::install(nullptr);
 }
 

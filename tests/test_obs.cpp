@@ -1037,10 +1037,7 @@ TEST(Metrics, ExemplarStaleTakeoverWithInjectedClock) {
 
 TEST(ThreadPoolStats, TasksExecutedSumsToSubmitted) {
   ThreadPool pool(3);
-  for (int i = 0; i < 500; ++i) {
-    pool.submit([] {});
-  }
-  pool.wait_idle();
+  pool.run(500, [](std::size_t) {});
   const auto stats = pool.worker_stats();
   ASSERT_EQ(stats.size(), 3u);
   std::uint64_t total = 0;

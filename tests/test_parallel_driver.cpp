@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/driver.h"
@@ -23,42 +25,59 @@ namespace {
 
 TEST(ThreadPool, RunsEverySubmittedTask) {
   ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000);
+  constexpr std::size_t kN = 1000;
+  std::vector<std::atomic<int>> runs(kN);
+  pool.run(kN, [&runs](std::size_t i) { runs[i].fetch_add(1); });
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+  std::uint64_t total = 0;
+  for (const auto& w : pool.worker_stats()) total += w.tasks_executed;
+  EXPECT_EQ(total, kN);
 }
 
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
+TEST(ThreadPool, EmptyWaveReturnsImmediately) {
   ThreadPool pool(2);
-  pool.wait_idle();
+  bool called = false;
+  pool.run(0, [&called](std::size_t) { called = true; });
+  EXPECT_FALSE(called);
   EXPECT_EQ(pool.size(), 2);
 }
 
-TEST(ThreadPool, TasksMaySubmitTasks) {
+TEST(ThreadPool, ConsecutiveWavesOfDifferentSizes) {
   ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&] {
-      count.fetch_add(1, std::memory_order_relaxed);
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    });
+  std::size_t total = 0;
+  for (std::size_t wave = 0; wave < 200; ++wave) {
+    const std::size_t n = (wave * 37) % 97 + 1;  // 1..97, sizes above and below size()
+    std::vector<std::atomic<int>> runs(n);
+    pool.run(n, [&runs](std::size_t i) { runs[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(runs[i].load(), 1) << "wave " << wave << " index " << i;
+    }
+    total += n;
   }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 16);
+  std::uint64_t executed = 0;
+  for (const auto& w : pool.worker_stats()) executed += w.tasks_executed;
+  EXPECT_EQ(executed, total);
 }
 
-TEST(ThreadPool, DestructorDrainsPendingTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 200; ++i) {
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }  // no wait_idle: the destructor must finish the queue
-  EXPECT_EQ(count.load(), 200);
+TEST(ThreadPool, RethrowsLowestIndexExceptionAfterEveryIndexRuns) {
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 64;
+  std::vector<std::atomic<int>> runs(kN);
+  try {
+    pool.run(kN, [&runs](std::size_t i) {
+      runs[i].fetch_add(1);
+      if (i == 7) {
+        // Let index 40 usually throw first: the winner must not depend on it.
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        throw std::runtime_error("index 7");
+      }
+      if (i == 40) throw std::runtime_error("index 40");
+    });
+    ADD_FAILURE() << "run() did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 7");
+  }
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(runs[i].load(), 1) << "index " << i;
 }
 
 TEST(ThreadPool, HardwareThreadsIsPositive) {

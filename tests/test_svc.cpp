@@ -80,9 +80,10 @@ class SleepySolver : public Solver {
   explicit SleepySolver(std::string name) : name_(std::move(name)) {}
   [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] ProblemKind kind() const override { return ProblemKind::kCycleMean; }
-  [[nodiscard]] CycleResult solve_scc(const Graph& g) const override {
+  [[nodiscard]] CycleResult solve_scc(const Graph& g,
+                                      const TileExec& tiles) const override {
     std::this_thread::sleep_for(kNap);
-    return SolverRegistry::instance().create("howard")->solve_scc(g);
+    return SolverRegistry::instance().create("howard")->solve_scc(g, tiles);
   }
 
  private:

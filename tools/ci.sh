@@ -4,7 +4,7 @@
 # threaded) under the sanitizers so exactness bugs of the Howard-rescale
 # class cannot regress silently. A third, TSan config re-runs the
 # concurrency-heavy suites (pool, parallel driver, tiled kernels, solve
-# service). Each config also runs a traced +
+# service) and one threaded fuzz config. Each config also runs a traced +
 # metered multi-SCC smoke solve and validates the exported trace /
 # metrics JSON with python3 -m json.tool, plus a live-daemon
 # observability smoke: mcr_serve with the flight recorder pinning
@@ -400,21 +400,25 @@ run "$FUZZ" --trials "$FUZZ_TRIALS" --seed 4 --ratio --negative --threads 8
 
 echo "=== TSan build + concurrency tests ==="
 # ASan and TSan cannot share a binary, so the thread-interleaving tests
-# (work-stealing pool, parallel SCC driver, the svc server) get their own
+# (wave pool, parallel SCC driver, the svc server) get their own
 # config. Only the concurrency-heavy suites run here: TSan slows
 # execution ~10x and the sequential suites add no interleavings.
 run cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMCR_SANITIZE_THREAD=ON \
     -DMCR_FAULT_INJECTION=ON
 run cmake --build build-tsan -j "$JOBS" --target test_parallel_driver test_tiled_kernels \
-    test_obs test_svc test_router test_fault mcr_chaos
+    test_obs test_svc test_router test_fault mcr_chaos mcr_fuzz
 run build-tsan/tests/test_parallel_driver
 run build-tsan/tests/test_tiled_kernels
 run build-tsan/tests/test_obs
 run build-tsan/tests/test_svc
 run build-tsan/tests/test_router
 run build-tsan/tests/test_fault
-# Worker-death-heavy plan under TSan: retire/respawn vs. destructor is
-# the raciest path in the pool's self-healing.
+# Threaded fuzz trials: multi-SCC circuit instances drive the pool's
+# component waves with real solver work.
+run build-tsan/tools/mcr_fuzz --trials 50 --seed 4 --ratio --negative --threads 8
+# Worker-death-heavy plan under TSan: a worker dying mid-wave, its
+# replacement by the thread in run(), and the surviving workers'
+# claims are the raciest path in the pool's self-healing.
 run build-tsan/tools/mcr_chaos --seeds 4 \
     --plan "worker_death=0.5,worker_stall=0.2,read_eintr=0.1,stall_ms=1,max_deaths=4,max_per_site=64"
 

@@ -49,6 +49,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli.h"
@@ -167,13 +168,38 @@ void run_workload(const std::string& socket_path, const std::vector<Graph>& grap
                                   "' (" + e.what() + ")");
     }
   };
+  // Counts a single-shot response; true when it is "status":"ok".
+  const auto note_status = [&](const json::Value& r, const std::string& what) {
+    if (r.string_or("status", "") == "ok") {
+      ++report.ok;
+      return true;
+    }
+    ++report.typed_errors;
+    const std::string code = r.string_or("code", "");
+    if (!is_documented_code(code)) {
+      report.violations.push_back(what + ": undocumented error code '" + code + "'");
+    }
+    return false;
+  };
+  // A transport failure is recovered lazily, just before the next
+  // request: a connection opened eagerly after the last request would
+  // sit idle, and whether the server accepts it (and draws sock_read
+  // for it) before stop_and_drain is a matter of timing.
+  std::string failed_what;  // request whose failure owes a reconnect
   const auto recover_transport = [&](const std::string& what) {
     ++report.transport_failures;
+    failed_what = what;
+  };
+  const auto reconnect_if_pending = [&] {
+    if (failed_what.empty()) return true;
+    const std::string what = std::exchange(failed_what, std::string());
     try {
       client.reconnect();
+      return true;
     } catch (const std::exception& e) {
       report.violations.push_back(what + ": reconnect to live server failed: " +
                                   e.what());
+      return false;
     }
   };
 
@@ -183,6 +209,7 @@ void run_workload(const std::string& socket_path, const std::vector<Graph>& grap
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const std::string what = "load[" + std::to_string(i) + "]";
     for (int attempt = 0; attempt < 6 && fingerprints[i].empty(); ++attempt) {
+      reconnect_if_pending();
       ++report.requests;
       try {
         fingerprints[i] = client.load_dimacs_text(dimacs[i]);
@@ -204,6 +231,7 @@ void run_workload(const std::string& socket_path, const std::vector<Graph>& grap
     const std::string what =
         "solve[" + std::to_string(i) + " " + objective + " g" + std::to_string(gi) +
         (deadline_ms > 0 ? " deadline" : "") + "]";
+    reconnect_if_pending();
     ++report.requests;
     try {
       const json::Value r =
@@ -217,23 +245,28 @@ void run_workload(const std::string& socket_path, const std::vector<Graph>& grap
     }
 
     if ((i % 4) == 3) {
+      reconnect_if_pending();
       ++report.requests;
       try {
         const json::Value h = client.health();
-        if (h.string_or("status", "") == "ok") {
-          ++report.ok;
+        if (note_status(h, "health")) {
           (void)h.at("healthy").as_bool();  // contract: field present
-        } else {
-          ++report.typed_errors;
-          const std::string code = h.string_or("code", "");
-          if (!is_documented_code(code)) {
-            report.violations.push_back("health: undocumented error code '" +
-                                        code + "'");
-          }
         }
       } catch (const svc::TransportError&) {
         recover_transport("health");
       }
+    }
+  }
+
+  // The last request's transport failure still owes its reconnect; one
+  // PING makes the server accept the new connection before the drain.
+  // A fault on the PING itself is counted like any other request's.
+  if (!failed_what.empty() && reconnect_if_pending()) {
+    ++report.requests;
+    try {
+      (void)note_status(client.request(R"({"verb":"PING"})"), "ping");
+    } catch (const svc::TransportError&) {
+      ++report.transport_failures;
     }
   }
 }
@@ -252,6 +285,9 @@ SeedReport run_seed(std::uint64_t seed, const fault::Plan& base_plan,
   svc::ServerOptions options;
   options.unix_socket_path = path.str();
   options.solve_threads = 2;
+  // Tiny tiles put every single-SCC solve in tile mode, so the pool runs
+  // and the plan's worker_stall / worker_death sites fire.
+  options.solve_tile_arcs = 8;
   options.queue_capacity = 8;
   // Leave the idle reaper off: it is wall-clock-driven and would make
   // the injection trace timing-dependent.
