@@ -180,7 +180,18 @@ std::string artifact_json(const BenchArtifact& artifact) {
     } else {
       append_string(out, "unavailable");
     }
-    out += '}';
+    out += ',';
+    append_string(out, "ops");
+    out += ":{";
+    bool first_op = true;
+    for (const OpCounterField& f : kOpCounterFields) {
+      if (!first_op) out += ',';
+      first_op = false;
+      append_string(out, f.name);
+      out += ':';
+      out += std::to_string(cell.ops.*f.member);
+    }
+    out += "}}";
   }
   out += "]}";
   return out;
@@ -233,6 +244,11 @@ BenchArtifact artifact_from_json(const json::Value& doc) {
       if (c.has("counters") && c.at("counters").is_object()) {
         cell.counters = map_from_json(c.at("counters"));
         cell.counters_available = true;
+      }
+      if (c.has("ops")) {
+        for (const OpCounterField& f : kOpCounterFields) {
+          cell.ops.*f.member = static_cast<std::uint64_t>(c.at("ops").number_or(f.name, 0.0));
+        }
       }
     }
     a.cells.push_back(std::move(cell));
@@ -298,6 +314,15 @@ DiffReport diff_artifacts(const BenchArtifact& baseline,
             (cit->second - base_value) / base_value * 100.0;
       }
     }
+    for (const OpCounterField& f : kOpCounterFields) {
+      const std::uint64_t was = base.ops.*f.member;
+      const std::uint64_t now = cand.ops.*f.member;
+      if (was != now) {
+        d.ops_changes.push_back(std::string(f.name) + " " + std::to_string(was) + " -> " +
+                                std::to_string(now));
+      }
+    }
+    if (!d.ops_changes.empty()) ++report.ops_changed;
     const double threshold = options.threshold_pct;
     // Regression: slower than the threshold AND outside the baseline's
     // CI (so a wide, noisy baseline cannot flag).
@@ -330,11 +355,13 @@ void print_diff(std::ostream& os, const DiffReport& report, bool all_cells) {
                    "delta", "verdict"});
   std::size_t listed = 0;
   for (const CellDiff& d : report.cells) {
-    const bool interesting = d.regression || d.improvement || !d.note.empty();
+    const bool interesting =
+        d.regression || d.improvement || !d.ops_changes.empty() || !d.note.empty();
     if (!all_cells && !interesting) continue;
     ++listed;
     std::string verdict = "ok";
     if (d.regression) verdict = "REGRESSION";
+    else if (!d.ops_changes.empty()) verdict = "OPS CHANGED";
     else if (d.improvement) verdict = "improved";
     else if (!d.note.empty()) verdict = d.note;
     table.add_row({d.workload, d.instance, d.solver,
@@ -346,6 +373,12 @@ void print_diff(std::ostream& os, const DiffReport& report, bool all_cells) {
     table.print(os);
   } else if (!all_cells) {
     os << "(no per-cell changes to report)\n";
+  }
+  for (const CellDiff& d : report.cells) {
+    if (d.ops_changes.empty()) continue;
+    os << "  ops " << d.workload << '/' << d.instance << '/' << d.solver << ':';
+    for (const std::string& change : d.ops_changes) os << ' ' << change << ';';
+    os << '\n';
   }
   if (all_cells) {
     for (const CellDiff& d : report.cells) {
@@ -359,8 +392,9 @@ void print_diff(std::ostream& os, const DiffReport& report, bool all_cells) {
     }
   }
   os << report.cells.size() << " cells compared: " << report.regressions
-     << " regression(s), " << report.improvements << " improvement(s), "
-     << report.incomparable << " incomparable\n";
+     << " regression(s), " << report.ops_changed << " with changed op counts, "
+     << report.improvements << " improvement(s), " << report.incomparable
+     << " incomparable\n";
 }
 
 }  // namespace mcr::bench

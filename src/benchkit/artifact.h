@@ -8,10 +8,14 @@
 // artifact embeds BuildInfo so a number is always attributable to a
 // binary and a machine.
 //
-// diff_artifacts() is the regression gate: a cell regresses when its
-// median slows by more than the threshold AND lands above the
-// baseline's CI upper bound — the CI guard keeps noisy micro-cells from
-// flagging, the threshold keeps a tight CI from flagging a 0.3% drift.
+// diff_artifacts() is the regression gate, on two axes. Time: a cell
+// regresses when its median slows by more than the threshold AND lands
+// above the baseline's CI upper bound — the CI guard keeps noisy
+// micro-cells from flagging, the threshold keeps a tight CI from
+// flagging a 0.3% drift. Work: each cell's OpCounters (the paper's
+// machine-independent operation counts, §3) are deterministic, so any
+// difference in any field fails, exactly; a change that moves counts
+// regenerates the baseline in the same commit.
 #ifndef MCR_BENCHKIT_ARTIFACT_H
 #define MCR_BENCHKIT_ARTIFACT_H
 
@@ -24,6 +28,7 @@
 #include "graph/graph.h"
 #include "obs/build_info.h"
 #include "support/json.h"
+#include "support/op_counters.h"
 
 namespace mcr::bench {
 
@@ -41,6 +46,7 @@ struct BenchCell {
   std::map<std::string, double> phases;    // phase_breakdown() seconds
   std::map<std::string, double> counters;  // per-counter medians
   bool counters_available = false;
+  OpCounters ops;  // one solve's operation counts (zeros when absent)
 };
 
 struct BenchArtifact {
@@ -85,18 +91,23 @@ struct CellDiff {
   /// reverse — simply has no counter intersection). Availability
   /// asymmetry is reported via `note`, never as a regression.
   std::map<std::string, double> counter_delta_pct;
+  /// One "field baseline -> candidate" entry per OpCounters field that
+  /// differs; any entry fails the gate.
+  std::vector<std::string> ops_changes;
 };
 
 struct DiffReport {
   std::vector<CellDiff> cells;
   int regressions = 0;
+  int ops_changed = 0;  // cells whose OpCounters differ
   int improvements = 0;
   int incomparable = 0;
 };
 
 /// Compares candidate against baseline cell-by-cell (keyed on
 /// workload/instance/solver). Candidate-only cells are reported as
-/// incomparable, never as regressions.
+/// incomparable, never as regressions. The gate fails on regressions or
+/// ops_changed.
 [[nodiscard]] DiffReport diff_artifacts(const BenchArtifact& baseline,
                                         const BenchArtifact& candidate,
                                         const DiffOptions& options = {});

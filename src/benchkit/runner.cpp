@@ -86,11 +86,9 @@ RepeatedRun time_solver_repeated(const std::string& name, const Graph& g,
   }
   const auto solver = SolverRegistry::instance().create(name);
   const auto solve_once = [&] {
-    if (solver->kind() == ProblemKind::kCycleMean) {
-      (void)minimum_cycle_mean(g, *solver, options);
-    } else {
-      (void)minimum_cycle_ratio(g, *solver, options);
-    }
+    return solver->kind() == ProblemKind::kCycleMean
+               ? minimum_cycle_mean(g, *solver, options)
+               : minimum_cycle_ratio(g, *solver, options);
   };
   for (int w = 0; w < repeat.warmup; ++w) solve_once();
 
@@ -103,7 +101,7 @@ RepeatedRun time_solver_repeated(const std::string& name, const Graph& g,
   for (int r = 0; r < reps; ++r) {
     if (perf != nullptr) perf->start();
     Timer timer;
-    solve_once();
+    out.ops = solve_once().counters;
     seconds.push_back(timer.seconds());
     if (perf != nullptr) {
       const obs::PerfSample sample = perf->stop();

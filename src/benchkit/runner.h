@@ -75,6 +75,7 @@ struct RepeatedRun {
   std::string skip_reason;  // "mem" when !ran (time handled by caller)
   SampleStats seconds;
   obs::PerfSample counters;  // value[i] = median over repetitions
+  OpCounters ops;            // the solver's operation counts (deterministic)
 };
 [[nodiscard]] RepeatedRun time_solver_repeated(
     const std::string& name, const Graph& g, const RepeatOptions& repeat,

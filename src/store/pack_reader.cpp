@@ -5,12 +5,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 
 #include "graph/fingerprint.h"
+#include "support/int128.h"
 
 namespace mcr::store {
 namespace {
@@ -180,11 +183,26 @@ PackReader PackReader::open(const std::string& path) {
     fail(PackErrorKind::kBadSection, path, "section sizes inconsistent with header counts");
   }
 
+  // The weight range and total transit are re-derived from the arcs,
+  // as Graph::finish_build derives them: every width bound starts from
+  // them (max_abs_weight, support/int_range.h), so a checksum-valid
+  // header that understates them must not reach a solver.
+  std::int64_t min_weight = m != 0 ? std::numeric_limits<std::int64_t>::max() : 0;
+  std::int64_t max_weight = m != 0 ? std::numeric_limits<std::int64_t>::min() : 0;
+  int128 total_transit = 0;
   for (std::size_t a = 0; a < m; ++a) {
     if (src[a] < 0 || src[a] >= header.num_nodes || dst[a] < 0 ||
         dst[a] >= header.num_nodes) {
       fail(PackErrorKind::kBadSection, path, "arc endpoint out of range");
     }
+    min_weight = std::min(min_weight, weight[a]);
+    max_weight = std::max(max_weight, weight[a]);
+    total_transit += transit[a];
+  }
+  if (min_weight != header.min_weight || max_weight != header.max_weight ||
+      total_transit != header.total_transit) {
+    fail(PackErrorKind::kBadHeader, path,
+         "weight range or total transit disagrees with the arcs");
   }
   check_csr(out_first, out_arcs, src, header.num_arcs, "out CSR", path);
   check_csr(in_first, in_arcs, dst, header.num_arcs, "in CSR", path);

@@ -5,16 +5,7 @@
 namespace mcr {
 
 OpCounters& OpCounters::operator+=(const OpCounters& o) {
-  iterations += o.iterations;
-  arc_scans += o.arc_scans;
-  relaxations += o.relaxations;
-  node_visits += o.node_visits;
-  heap_inserts += o.heap_inserts;
-  heap_decrease_keys += o.heap_decrease_keys;
-  heap_delete_mins += o.heap_delete_mins;
-  feasibility_checks += o.feasibility_checks;
-  cycle_evaluations += o.cycle_evaluations;
-  numeric_promotions += o.numeric_promotions;
+  for (const OpCounterField& f : kOpCounterFields) this->*f.member += o.*f.member;
   return *this;
 }
 

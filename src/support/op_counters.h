@@ -10,6 +10,7 @@
 #ifndef MCR_SUPPORT_OP_COUNTERS_H
 #define MCR_SUPPORT_OP_COUNTERS_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -52,6 +53,27 @@ struct OpCounters {
   /// Compact single-line rendering of the nonzero fields.
   [[nodiscard]] std::string summary() const;
 };
+
+/// Every OpCounters field by name, in declaration order: the one list
+/// that operator+= and the BENCH artifact's "ops" object walk.
+struct OpCounterField {
+  const char* name;
+  std::uint64_t OpCounters::*member;
+};
+inline constexpr std::array<OpCounterField, 10> kOpCounterFields{{
+    {"iterations", &OpCounters::iterations},
+    {"arc_scans", &OpCounters::arc_scans},
+    {"relaxations", &OpCounters::relaxations},
+    {"node_visits", &OpCounters::node_visits},
+    {"heap_inserts", &OpCounters::heap_inserts},
+    {"heap_decrease_keys", &OpCounters::heap_decrease_keys},
+    {"heap_delete_mins", &OpCounters::heap_delete_mins},
+    {"feasibility_checks", &OpCounters::feasibility_checks},
+    {"cycle_evaluations", &OpCounters::cycle_evaluations},
+    {"numeric_promotions", &OpCounters::numeric_promotions},
+}};
+static_assert(sizeof(OpCounters) == kOpCounterFields.size() * sizeof(std::uint64_t),
+              "every OpCounters field is listed in kOpCounterFields");
 
 }  // namespace mcr
 

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -164,6 +165,18 @@ std::string error_payload(std::string_view code, std::string_view message) {
   out += json_escape(message);
   out += "\"}";
   return out;
+}
+
+std::optional<std::chrono::microseconds> request_deadline(const json::Value& req) {
+  const double ms = req.number_or("deadline_ms", 0.0);
+  if (!(ms > 0.0)) return std::nullopt;
+  return std::chrono::microseconds(
+      static_cast<std::int64_t>(std::min(ms, kMaxDeadlineMs) * 1000.0));
+}
+
+std::size_t request_count(const json::Value& req, const std::string& key, double fallback) {
+  const double v = req.number_or(key, fallback);
+  return v > 0.0 ? static_cast<std::size_t>(std::min(v, kMaxClientCount)) : 0;
 }
 
 }  // namespace mcr::svc

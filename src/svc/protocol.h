@@ -21,8 +21,10 @@
 #define MCR_SVC_PROTOCOL_H
 
 #include <array>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -131,6 +133,28 @@ inline constexpr std::size_t kMaxTraceIdBytes = 64;
 /// when the id is empty.
 [[nodiscard]] std::string with_trace_id(std::string_view json_object,
                                         std::string_view trace_id);
+
+// --- Client numbers ------------------------------------------------------
+//
+// JSON numbers arrive as doubles, so a client can send 1e300 where an
+// integer or a clock duration is meant. Both daemons read such fields
+// through these helpers, which clamp before any integer cast.
+
+/// Cap on "deadline_ms" (~31 years): the microsecond count stays far
+/// inside int64 and the steady clock's range.
+inline constexpr double kMaxDeadlineMs = 1e12;
+/// Cap on a client count such as TRACE's "limit".
+inline constexpr double kMaxClientCount = 1e9;
+
+/// The request's "deadline_ms" budget, capped at kMaxDeadlineMs;
+/// nullopt when the field is absent or not positive.
+[[nodiscard]] std::optional<std::chrono::microseconds> request_deadline(
+    const json::Value& req);
+
+/// The request's `key` (else `fallback`) as a count: clamped to
+/// [0, kMaxClientCount], fraction dropped.
+[[nodiscard]] std::size_t request_count(const json::Value& req, const std::string& key,
+                                        double fallback);
 
 }  // namespace mcr::svc
 

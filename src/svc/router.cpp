@@ -452,12 +452,9 @@ std::string Router::forward_with_failover(
     const json::Value& request, const std::string& verb, const std::string& payload,
     std::chrono::steady_clock::time_point arrival) {
   const std::vector<std::size_t> order = candidate_order(request, verb);
-  const double deadline_ms = request.number_or("deadline_ms", 0.0);
+  const auto budget = request_deadline(request);
   const auto deadline =
-      deadline_ms > 0.0
-          ? arrival + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                          std::chrono::duration<double, std::milli>(deadline_ms))
-          : std::chrono::steady_clock::time_point::max();
+      budget ? arrival + *budget : std::chrono::steady_clock::time_point::max();
   const bool client_has_parent = request.has("parent_span");
 
   int attempts = 0;

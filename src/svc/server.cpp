@@ -215,8 +215,7 @@ std::string Server::handle_trace(const json::Value& req) const {
   filter.trace_id = req.string_or("id", "");
   filter.verb = req.string_or("match_verb", "");
   filter.min_ms = req.number_or("min_ms", -1.0);
-  const double limit = req.number_or("limit", 32.0);
-  filter.limit = limit <= 0.0 ? 0 : static_cast<std::size_t>(limit);
+  filter.limit = request_count(req, "limit", 32.0);
   const std::size_t count = flight_.select(filter).size();
   // chrome_trace is one self-contained Chrome trace_event JSON object;
   // clients cut it out and hand it straight to Perfetto.
@@ -490,14 +489,9 @@ std::string Server::handle_solve(const json::Value& req, RequestContext& ctx) {
   job->maximize = objective.maximize;
   job->ratio = objective.ratio;
   job->trace = ctx.trace;
-  const double deadline_ms = req.number_or("deadline_ms", 0.0);
-  if (deadline_ms > 0.0) {
-    ctx.log.deadline_ms = deadline_ms;
-    // Capped at ~31 years so the microsecond count stays far inside
-    // int64 and the steady clock's range.
-    job->deadline = std::chrono::steady_clock::now() +
-                    std::chrono::microseconds(
-                        static_cast<std::int64_t>(std::min(deadline_ms, 1e12) * 1000.0));
+  if (const auto budget = request_deadline(req)) {
+    ctx.log.deadline_ms = req.number_or("deadline_ms", 0.0);
+    job->deadline = std::chrono::steady_clock::now() + *budget;
     // Clock-skip fault point: a kSkip decision jumps the deadline into
     // the past by `param` ms, as if the process had been suspended that
     // long between accepting the request and scheduling it.

@@ -47,6 +47,10 @@ BenchCell ran_cell(const std::string& instance, const std::string& solver,
   c.phases = {{"solve", median}, {"scc_decompose", median / 10}};
   c.counters = {{"cycles", 1e6}, {"task_clock_ns", median * 1e9}};
   c.counters_available = true;
+  c.ops.iterations = 7;
+  c.ops.arc_scans = 67584;
+  c.ops.node_visits = 2791;
+  c.ops.cycle_evaluations = 9;
   return c;
 }
 
@@ -112,7 +116,16 @@ TEST(BenchArtifact, JsonRoundTripPreservesEverything) {
     EXPECT_EQ(y.phases, x.phases);
     EXPECT_EQ(y.counters, x.counters);
     EXPECT_EQ(y.counters_available, x.counters_available);
+    EXPECT_EQ(y.ops, x.ops);
   }
+}
+
+TEST(BenchArtifact, OpsSerializeEveryFieldByName) {
+  const json::Value doc = json::parse(artifact_json(small_artifact()));
+  const json::Value& ops = doc.at("cells").as_array()[0].at("ops");
+  EXPECT_EQ(ops.as_object().size(), kOpCounterFields.size());
+  EXPECT_EQ(ops.at("arc_scans").as_double(), 67584.0);
+  EXPECT_EQ(ops.at("feasibility_checks").as_double(), 0.0);
 }
 
 TEST(BenchArtifact, SkippedCellsSerializeWithoutTimingBlocks) {
@@ -157,11 +170,34 @@ TEST(BenchDiff, SelfDiffIsClean) {
   const BenchArtifact a = small_artifact();
   const DiffReport report = diff_artifacts(a, a);
   EXPECT_EQ(report.regressions, 0);
+  EXPECT_EQ(report.ops_changed, 0);
   EXPECT_EQ(report.improvements, 0);
   EXPECT_EQ(report.incomparable, 0);
   std::ostringstream os;
   print_diff(os, report, /*all_cells=*/false);
   EXPECT_NE(os.str().find("0 regression(s)"), std::string::npos) << os.str();
+}
+
+TEST(BenchDiff, AnyOpCountDifferenceFailsNamingCellAndField) {
+  const BenchArtifact base = small_artifact();
+  BenchArtifact cand = small_artifact();
+  cand.cells[1].ops.arc_scans += 1;  // ko: one more scan, same time
+  const DiffReport report = diff_artifacts(base, cand);
+  EXPECT_EQ(report.regressions, 0);
+  EXPECT_EQ(report.ops_changed, 1);
+  const CellDiff* ko = nullptr;
+  for (const CellDiff& d : report.cells) {
+    if (d.solver == "ko") ko = &d;
+  }
+  ASSERT_NE(ko, nullptr);
+  ASSERT_EQ(ko->ops_changes.size(), 1u);
+  EXPECT_EQ(ko->ops_changes[0], "arc_scans 67584 -> 67585");
+  std::ostringstream os;
+  print_diff(os, report, /*all_cells=*/false);
+  EXPECT_NE(os.str().find("OPS CHANGED"), std::string::npos) << os.str();
+  EXPECT_NE(os.str().find("sprand/n128_m256/ko: arc_scans 67584 -> 67585"),
+            std::string::npos)
+      << os.str();
 }
 
 TEST(BenchDiff, FlagsSlowdownOutsideBaselineCi) {

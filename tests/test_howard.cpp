@@ -104,12 +104,12 @@ TEST(Howard, RatioVariantMatchesOracle) {
 TEST(Howard, RescaleRegressionMean) {
   // Regression for the truncating distance rescale. Found by fuzzing:
   // on this instance the optimal policy-cycle denominator changes
-  // between iterations, and the old dist * new_den / cur_den integer
-  // rescale rounded stale distances toward zero, breaking the
-  // strict-decrease termination argument — the policy oscillated for
-  // ~1400 iterations until the safety valve fired (feasibility_checks
-  // counts the cycle-canceling rescue). The exact lcm rescale converges
-  // in 2 iterations with no rescue.
+  // between iterations, and an integer rescale of the distances from
+  // the old denominator to the new one rounded stale distances toward
+  // zero, breaking the strict-decrease termination argument — the
+  // policy oscillated for ~1400 iterations until the safety valve fired
+  // (feasibility_checks counts the cycle-canceling rescue). With every
+  // distance recomputed at the new scale no rescale happens at all.
   GraphBuilder b(9);
   b.add_arc(0, 1, -2);
   b.add_arc(1, 2, -2);
@@ -142,8 +142,7 @@ TEST(Howard, RescaleRegressionMean) {
 TEST(Howard, RescaleRegressionRatio) {
   // Ratio-mode sibling of RescaleRegressionMean: transit times make the
   // policy-cycle denominators change every iteration, so the old
-  // truncating rescale stalled (~1200 iterations, valve rescue) where
-  // the exact lcm rescale takes 2.
+  // truncating rescale stalled (~1200 iterations, valve rescue).
   GraphBuilder b(6);
   b.add_arc(0, 1, -4, 1);
   b.add_arc(1, 2, -8, 3);
@@ -163,28 +162,53 @@ TEST(Howard, RescaleRegressionRatio) {
   EXPECT_LE(r.counters.iterations, 16u);         // pre-fix: ~1200
 }
 
-TEST(Howard, ScaleOverflowValveStaysExact) {
-  // howard_ratio's exact distance scale (the lcm of the policy-cycle
-  // denominators) outgrows 64 bits on about one sprand ratio graph in
-  // six at this size; the solver then finishes by cycle canceling with
-  // Bellman-Ford feasibility checks. This seed takes that path.
+// Sprand ratio instance at the size where Howard used to outgrow its
+// 64-bit distance scale (n = 512, m = 2048, transit U[1, 10]).
+Graph sprand_ratio(NodeId n, ArcId m, std::uint64_t seed) {
   gen::SprandConfig cfg;
-  cfg.n = 512;
-  cfg.m = 2048;
+  cfg.n = n;
+  cfg.m = m;
   cfg.max_transit = 10;
-  cfg.seed = 8;
-  const Graph g = gen::sprand(cfg);
+  cfg.seed = seed;
+  return gen::sprand(cfg);
+}
+
+TEST(Howard, FormerScaleValveSeedConvergesWithoutValve) {
+  // Every node gets a fresh distance at scale den(lambda) each
+  // iteration, so no distance scale grows across iterations. This seed
+  // used to outgrow 64 bits and finish by cycle canceling; it now
+  // converges by policy iteration alone.
+  const Graph g = sprand_ratio(512, 2048, 8);
   obs::TraceRecorder trace;
   const auto r = minimum_cycle_ratio(g, "howard_ratio", {.trace = &trace});
   ASSERT_TRUE(r.has_cycle);
   EXPECT_EQ(r.value, minimum_cycle_ratio(g, "yto_ratio").value);
   EXPECT_TRUE(verify_result(g, r, ProblemKind::kCycleRatio).ok);
-  EXPECT_GT(r.counters.feasibility_checks, 0u);  // the valve fired
-  bool scale_overflow = false;
+  EXPECT_EQ(r.counters.feasibility_checks, 0u);  // no cycle-canceling finish
   for (const obs::TraceRecorder::Event& e : trace.events()) {
-    scale_overflow = scale_overflow || e.name == "howard.scale_overflow";
+    EXPECT_NE(e.kind, obs::EventKind::kSafetyValve) << e.name;
   }
-  EXPECT_TRUE(scale_overflow);
+}
+
+TEST(Howard, RatioSprandConvergesWithoutValve) {
+  // Minimum and maximum ratio on seeds 1-50 at n = 512, and the seeds
+  // that took the scale valve at n = 4096: policy iteration alone
+  // reaches yto_ratio's value, with no cycle-canceling finish.
+  const auto check_min = [](const Graph& g, std::uint64_t seed) {
+    const auto r = minimum_cycle_ratio(g, "howard_ratio");
+    EXPECT_EQ(r.value, minimum_cycle_ratio(g, "yto_ratio").value) << "seed " << seed;
+    EXPECT_EQ(r.counters.feasibility_checks, 0u) << "seed " << seed;
+  };
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    const Graph g = sprand_ratio(512, 2048, seed);
+    check_min(g, seed);
+    const auto hi = maximum_cycle_ratio(g, "howard_ratio");
+    EXPECT_EQ(hi.value, maximum_cycle_ratio(g, "yto_ratio").value) << "seed " << seed;
+    EXPECT_EQ(hi.counters.feasibility_checks, 0u) << "seed " << seed;
+  }
+  for (const std::uint64_t seed : {6, 7, 10, 12, 17, 20}) {
+    check_min(sprand_ratio(4096, 16384, seed), seed);
+  }
 }
 
 TEST(Howard, ManyComponentsViaDriver) {

@@ -511,6 +511,17 @@ TEST(RouterFleet, TraceContextIsMintedAndClientIdsPropagate) {
   EXPECT_EQ(echoed.string_or("trace_id", ""), "feedfacefeedface");
 }
 
+TEST(RouterFleet, HugeDeadlineIsCappedNotOverflowed) {
+  // deadline_ms = 1e300 is capped like mcr_serve caps it; converted
+  // unclamped it would overflow the clock and read as already expired.
+  Fleet fleet(2);
+  svc::Client client = fleet.client();
+  const std::string fp = client.load_dimacs_text(dimacs_text(make_ring(24, 5)));
+  const json::Value r = client.request(
+      R"({"verb":"SOLVE","fingerprint":")" + fp + R"(","deadline_ms":1e300})");
+  EXPECT_EQ(r.string_or("status", ""), "ok") << r.string_or("code", "");
+}
+
 TEST(RouterFleet, ExpiredDeadlineDoesNotLeakTheHalfOpenTrial) {
   svc::RouterOptions ro;
   ro.breaker.failure_threshold = 1;

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -260,6 +261,30 @@ TEST(PackRejection, StructurallyInvalidButResealedPackIsBadSection) {
   TempPack mutant;
   write_file(mutant.path, bytes);
   EXPECT_EQ(open_expecting_error(mutant.path), store::PackErrorKind::kBadSection);
+}
+
+TEST(PackRejection, HeaderWeightRangeOrTransitLieIsBadHeader) {
+  // The header's weight range and total transit feed every solver's
+  // integer-range check; a resealed header that understates them must
+  // not attach.
+  TempPack pack;
+  const Graph g = make_sprand(32, 96, 9);
+  store::write_pack(pack.path, g);
+  const std::string bytes = read_file(pack.path);
+  const auto lie = [&](std::size_t offset, std::int64_t value) {
+    std::string mutated = bytes;
+    std::memcpy(mutated.data() + offset, &value, sizeof(value));
+    reseal(mutated);
+    TempPack mutant;
+    write_file(mutant.path, mutated);
+    return open_expecting_error(mutant.path);
+  };
+  EXPECT_EQ(lie(offsetof(store::PackHeader, max_weight), g.max_weight() - 1),
+            store::PackErrorKind::kBadHeader);
+  EXPECT_EQ(lie(offsetof(store::PackHeader, min_weight), g.min_weight() + 1),
+            store::PackErrorKind::kBadHeader);
+  EXPECT_EQ(lie(offsetof(store::PackHeader, total_transit), g.total_transit() - 1),
+            store::PackErrorKind::kBadHeader);
 }
 
 TEST(PackRejection, FileBytesMismatchIsRejectedEvenWhenResealed) {

@@ -1267,6 +1267,10 @@ TEST(SvcTrace, TraceVerbFiltersByVerbAndDuration) {
   // limit trims to the newest traces.
   v = json::parse(client.request_raw(R"({"verb":"TRACE","limit":1})"));
   EXPECT_EQ(v.at("count").as_double(), 1.0);
+  // A limit past any integer type is clamped before the cast.
+  v = json::parse(client.request_raw(R"({"verb":"TRACE","limit":1e300})"));
+  EXPECT_EQ(v.string_or("status", ""), "ok");
+  EXPECT_GE(v.at("count").as_double(), 4.0);
   server.stop_and_drain();
 }
 

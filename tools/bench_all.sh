@@ -9,16 +9,17 @@
 #
 # Usage:
 #   tools/bench_all.sh [BUILD_DIR] [OUT_DIR]
-#   tools/bench_all.sh --update-baseline [BUILD_DIR] [OUT_FILE]
+#   tools/bench_all.sh --update-baseline [BUILD_DIR] [OUT_DIR]
 #
 #   BUILD_DIR  where mcr_bench lives (default: build)
-#   OUT_DIR    where BENCH_*.json land (default: bench_out)
+#   OUT_DIR    where BENCH_*.json land (default: bench_out; with
+#              --update-baseline, the repo root)
 #
-# --update-baseline regenerates the committed regression baseline
-# (default OUT_FILE: BENCH_baseline.json at the repo root). This is the
-# single source of truth for the baseline recipe — ci.sh reruns the
-# exact same recipe for the candidate side of its gate, so regenerate
-# the baseline with this mode only (see docs/BENCHMARKING.md).
+# --update-baseline regenerates the committed regression baselines,
+# BENCH_baseline.json and BENCH_baseline_ratio.json. This is the single
+# source of truth for the baseline recipe — ci.sh reruns the exact same
+# recipe for the candidate side of its gate, so regenerate the
+# baselines with this mode only (see docs/BENCHMARKING.md).
 #
 # Environment:
 #   MCR_BENCH_SCALE  small | medium | full (default small; full is the
@@ -55,12 +56,18 @@ if [[ "$UPDATE_BASELINE" == 1 ]]; then
   # thread: on a host with fewer CPUs than threads a threaded run
   # measures oversubscription, not the kernels. ci.sh reruns this exact
   # recipe for its candidate artifact; change it only together with a
-  # freshly regenerated committed baseline.
-  OUT_FILE="${2:-BENCH_baseline.json}"
+  # freshly regenerated committed baseline. The second artifact covers
+  # the cost-to-time ratio kernels on the whole small sprand_ratio grid
+  # (n up to 512, transit U[1,10]). Each cell also records its operation
+  # counts, which the gate compares exactly.
+  OUT_DIR="${2:-.}"
   MCR_BENCH_SCALE=small "$BENCH" --name baseline --workload sprand \
       --solvers howard,karp,karp2,lawler,dg,ho --max-n 256 \
-      --trials "$TRIALS" --threads 1 --tile-arcs 1024 --out "$OUT_FILE"
-  echo "baseline written to $OUT_FILE"
+      --trials "$TRIALS" --threads 1 --tile-arcs 1024 --out "$OUT_DIR/BENCH_baseline.json"
+  MCR_BENCH_SCALE=small "$BENCH" --name baseline_ratio --workload sprand_ratio \
+      --solvers howard_ratio,yto_ratio \
+      --trials "$TRIALS" --threads 1 --tile-arcs 1024 --out "$OUT_DIR/BENCH_baseline_ratio.json"
+  echo "baselines written to $OUT_DIR"
   exit 0
 fi
 mkdir -p "$OUT_DIR"

@@ -28,7 +28,9 @@
 # regressions (exit 0), and the A-vs-B cross-run diff uses a generous
 # threshold since CI machines are noisy (see docs/BENCHMARKING.md).
 # The Release config additionally gates against the committed
-# BENCH_baseline.json via the bench_all.sh --update-baseline recipe, and
+# BENCH_baseline.json and BENCH_baseline_ratio.json (operation counts
+# exactly, time generously) via the bench_all.sh --update-baseline
+# recipe, and
 # runs the end-to-end benchmark's answer check (e2e_bench built into
 # build-e2e, ctest bench_e2e_smoke_trace0 and bench_e2e_smoke_trace1).
 # The sanitizer configs compile the fault-injection hooks in and run the
@@ -318,22 +320,24 @@ if [[ "$FAST" == 0 ]]; then
   run ctest --test-dir build-e2e -R 'bench_e2e_smoke_trace[01]' --output-on-failure
 
   echo "=== bench baseline gate ==="
-  # Gate against the committed baseline: rerun the exact recipe that
-  # produced BENCH_baseline.json (single-sourced in bench_all.sh
-  # --update-baseline) and diff. The threshold is deliberately generous
-  # — the baseline was recorded on a different machine, so only gross
-  # regressions (the CI-upper-bound guard plus this margin) fail; tune
-  # with MCR_CI_BASELINE_THRESHOLD, regenerate with
-  # tools/bench_all.sh --update-baseline (docs/BENCHMARKING.md).
-  if [[ -f BENCH_baseline.json ]]; then
+  # Gate against the committed baselines: rerun the exact recipe that
+  # produced BENCH_baseline.json and BENCH_baseline_ratio.json
+  # (single-sourced in bench_all.sh --update-baseline) and diff. Every
+  # cell's operation counts must match exactly. The time threshold is
+  # deliberately generous — the baseline was recorded on a different
+  # machine, so only gross regressions (the CI-upper-bound guard plus
+  # this margin) fail; tune with MCR_CI_BASELINE_THRESHOLD, regenerate
+  # with tools/bench_all.sh --update-baseline (docs/BENCHMARKING.md).
+  if [[ -f BENCH_baseline.json && -f BENCH_baseline_ratio.json ]]; then
     baseline_tmp="$(mktemp -d)"
-    run tools/bench_all.sh --update-baseline build "$baseline_tmp/BENCH_candidate.json"
-    run build/tools/mcr_bench_diff BENCH_baseline.json \
-        "$baseline_tmp/BENCH_candidate.json" \
-        --threshold "${MCR_CI_BASELINE_THRESHOLD:-300}"
+    run tools/bench_all.sh --update-baseline build "$baseline_tmp"
+    for artifact in BENCH_baseline.json BENCH_baseline_ratio.json; do
+      run build/tools/mcr_bench_diff "$artifact" "$baseline_tmp/$artifact" \
+          --threshold "${MCR_CI_BASELINE_THRESHOLD:-300}"
+    done
     rm -rf "$baseline_tmp"
   else
-    echo "FAIL: no committed BENCH_baseline.json (regenerate with tools/bench_all.sh --update-baseline)" >&2
+    echo "FAIL: no committed BENCH_baseline.json / BENCH_baseline_ratio.json (regenerate with tools/bench_all.sh --update-baseline)" >&2
     exit 1
   fi
 

@@ -197,6 +197,7 @@ int run(const cli::Options& opt) {
         } else {
           cell.ran = true;
           cell.seconds = run.seconds;
+          cell.ops = run.ops;
           budget.record(solver, run.seconds.median);
           for (std::size_t i = 0; i < obs::kNumPerfCounters; ++i) {
             if (!run.counters.available[i]) continue;

@@ -6,7 +6,9 @@
 // A cell regresses when the candidate median is more than PCT% slower
 // (default 5%) AND above the baseline's 95% bootstrap CI upper bound —
 // the CI guard keeps noisy cells from flagging. Improvements use the
-// symmetric rule. Exit codes: 0 clean, 1 at least one regression,
+// symmetric rule. Operation counts (each cell's "ops") are compared
+// exactly: any difference fails and is listed by cell and field.
+// Exit codes: 0 clean, 1 at least one regression or changed count,
 // 2 usage or artifact errors.
 #include <iostream>
 #include <stdexcept>
@@ -46,7 +48,7 @@ int run(const mcr::cli::Options& opt) {
 
   const DiffReport report = diff_artifacts(baseline, candidate, options);
   print_diff(std::cout, report, opt.has("all-cells"));
-  return report.regressions > 0 ? 1 : 0;
+  return report.regressions > 0 || report.ops_changed > 0 ? 1 : 0;
 }
 
 }  // namespace
