@@ -1,8 +1,11 @@
 // B1 — google-benchmark microbenchmarks: one benchmark per solver on a
 // fixed mid-size SPRAND instance plus substrate microbenchmarks (heaps,
-// Bellman-Ford, SCC). These give CI-grade tracked numbers; the
-// table-style experiments live in the bench_* table binaries.
+// Bellman-Ford, SCC, the cold-SOLVE ingest path). These give CI-grade
+// tracked numbers; the table-style experiments live in the bench_*
+// table binaries.
 #include <benchmark/benchmark.h>
+
+#include <sstream>
 
 #include "core/driver.h"
 #include "core/registry.h"
@@ -12,7 +15,10 @@
 #include "gen/circuit.h"
 #include "gen/sprand.h"
 #include "graph/bellman_ford.h"
+#include "graph/fingerprint.h"
+#include "graph/io.h"
 #include "graph/scc.h"
+#include "support/json.h"
 #include "support/prng.h"
 
 namespace {
@@ -65,6 +71,31 @@ void BM_BellmanFord(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BellmanFord);
+
+// What mcr_serve does to an inline-DIMACS SOLVE before the solve: parse
+// the request, parse the graph text, fingerprint the graph. The payload
+// has the shape of e2e_bench's serve_cold requests (sprand n=512,
+// m=2048, unit transit).
+void BM_ColdSolveIngest(benchmark::State& state) {
+  const std::string payload = [] {
+    gen::SprandConfig cfg;
+    cfg.n = 512;
+    cfg.m = 2048;
+    cfg.seed = 42;
+    std::ostringstream os;
+    write_dimacs(os, gen::sprand(cfg));
+    return R"({"verb":"SOLVE","dimacs":")" + json::escape(os.str()) +
+           R"(","objective":"min_mean"})";
+  }();
+  for (auto _ : state) {
+    const json::Value req = json::parse(payload);
+    const Graph g = read_dimacs(req.at("dimacs").as_string());
+    benchmark::DoNotOptimize(fingerprint_hex(g));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_ColdSolveIngest);
 
 template <typename Heap>
 void BM_HeapSortPattern(benchmark::State& state) {

@@ -82,7 +82,6 @@ CycleResult solve_decomposed(const Graph& g, const Solver& solver,
   std::span<const NodeId> comp_of;
   std::vector<bool> comp_cyclic;
   NodeId scc_num_components = 0;
-  std::vector<NodeId> local_id(static_cast<std::size_t>(g.num_nodes()), kInvalidNode);
   std::vector<NodeId> comp_size;
   // Per-component arcs, grouped structure-of-arrays: one flat array per
   // arc field plus a component offset table. The counting-sort grouping
@@ -96,6 +95,7 @@ CycleResult solve_decomposed(const Graph& g, const Solver& solver,
   std::vector<std::int64_t> arc_transit;
   std::vector<ArcId> arc_parent;
   std::vector<std::size_t> cyclic;
+  bool in_place = false;
   {
     const obs::Span span(obs::EventKind::kSccDecompose, "scc_decompose");
     if (const Graph::SccHint* hint = g.scc_hint(); hint != nullptr) {
@@ -116,66 +116,77 @@ CycleResult solve_decomposed(const Graph& g, const Solver& solver,
     }
     const std::size_t num_comp = static_cast<std::size_t>(scc_num_components);
 
-    // Group nodes and arcs by cyclic component in one pass each (building
-    // per-component subgraphs via induced_subgraph would rescan all arcs
-    // once per component — O(m * #components) on circuit-like graphs with
-    // hundreds of SCCs).
-    comp_size.assign(num_comp, 0);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const auto c = static_cast<std::size_t>(comp_of[static_cast<std::size_t>(v)]);
-      if (!comp_cyclic[c]) continue;
-      local_id[static_cast<std::size_t>(v)] = comp_size[c]++;
-    }
-    const auto arc_component = [&](ArcId a) -> std::size_t {
-      // Intra-component arc of a cyclic component, or num_comp.
-      const auto cu = static_cast<std::size_t>(comp_of[static_cast<std::size_t>(g.src(a))]);
-      if (comp_of[static_cast<std::size_t>(g.dst(a))] !=
-          comp_of[static_cast<std::size_t>(g.src(a))]) {
-        return num_comp;
-      }
-      return comp_cyclic[cu] ? cu : num_comp;
-    };
-    comp_arc_first.assign(num_comp + 1, 0);
-    std::size_t kept = 0;
-    for (ArcId a = 0; a < g.num_arcs(); ++a) {
-      const std::size_t c = arc_component(a);
-      if (c == num_comp) continue;
-      ++comp_arc_first[c + 1];
-      ++kept;
-    }
-    for (std::size_t c = 0; c < num_comp; ++c) {
-      comp_arc_first[c + 1] += comp_arc_first[c];
-    }
-    arc_src.resize(kept);
-    arc_dst.resize(kept);
-    arc_weight.resize(kept);
-    arc_transit.resize(kept);
-    arc_parent.resize(kept);
-    std::vector<std::size_t> cursor(comp_arc_first.begin(), comp_arc_first.end() - 1);
-    for (ArcId a = 0; a < g.num_arcs(); ++a) {
-      const std::size_t c = arc_component(a);
-      if (c == num_comp) continue;
-      const std::size_t i = cursor[c]++;
-      arc_src[i] = local_id[static_cast<std::size_t>(g.src(a))];
-      arc_dst[i] = local_id[static_cast<std::size_t>(g.dst(a))];
-      arc_weight[i] = g.weight(a);
-      arc_transit[i] = g.transit(a);
-      arc_parent[i] = a;
-    }
-
     cyclic.reserve(num_comp);
     for (std::size_t c = 0; c < num_comp; ++c) {
       if (comp_cyclic[c]) cyclic.push_back(c);
     }
+
+    // One cyclic component holding every node is g itself: local ids
+    // would equal node ids and the grouping would keep every arc in
+    // order, so a copy would have g's arrays and CSR. Such a graph is
+    // solved in place.
+    in_place = num_comp == 1 && comp_cyclic[0];
+    if (!in_place) {
+      // Group nodes and arcs by cyclic component in one pass each
+      // (building per-component subgraphs via induced_subgraph would
+      // rescan all arcs once per component — O(m * #components) on
+      // circuit-like graphs with hundreds of SCCs).
+      std::vector<NodeId> local_id(static_cast<std::size_t>(g.num_nodes()), kInvalidNode);
+      comp_size.assign(num_comp, 0);
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        const auto c = static_cast<std::size_t>(comp_of[static_cast<std::size_t>(v)]);
+        if (!comp_cyclic[c]) continue;
+        local_id[static_cast<std::size_t>(v)] = comp_size[c]++;
+      }
+      const auto arc_component = [&](ArcId a) -> std::size_t {
+        // Intra-component arc of a cyclic component, or num_comp.
+        const auto cu = static_cast<std::size_t>(comp_of[static_cast<std::size_t>(g.src(a))]);
+        if (comp_of[static_cast<std::size_t>(g.dst(a))] !=
+            comp_of[static_cast<std::size_t>(g.src(a))]) {
+          return num_comp;
+        }
+        return comp_cyclic[cu] ? cu : num_comp;
+      };
+      comp_arc_first.assign(num_comp + 1, 0);
+      std::size_t kept = 0;
+      for (ArcId a = 0; a < g.num_arcs(); ++a) {
+        const std::size_t c = arc_component(a);
+        if (c == num_comp) continue;
+        ++comp_arc_first[c + 1];
+        ++kept;
+      }
+      for (std::size_t c = 0; c < num_comp; ++c) {
+        comp_arc_first[c + 1] += comp_arc_first[c];
+      }
+      arc_src.resize(kept);
+      arc_dst.resize(kept);
+      arc_weight.resize(kept);
+      arc_transit.resize(kept);
+      arc_parent.resize(kept);
+      std::vector<std::size_t> cursor(comp_arc_first.begin(), comp_arc_first.end() - 1);
+      for (ArcId a = 0; a < g.num_arcs(); ++a) {
+        const std::size_t c = arc_component(a);
+        if (c == num_comp) continue;
+        const std::size_t i = cursor[c]++;
+        arc_src[i] = local_id[static_cast<std::size_t>(g.src(a))];
+        arc_dst[i] = local_id[static_cast<std::size_t>(g.dst(a))];
+        arc_weight[i] = g.weight(a);
+        arc_transit[i] = g.transit(a);
+        arc_parent[i] = a;
+      }
+    }
   }
   const std::size_t num_comp = static_cast<std::size_t>(scc_num_components);
-  const auto component_graph = [&](std::size_t c) {
+  // Component c's subgraph: g itself when solving in place, else a copy
+  // built into `copy`.
+  const auto component_graph = [&](std::size_t c, std::optional<Graph>& copy) -> const Graph& {
+    if (in_place) return g;
     const std::size_t off = comp_arc_first[c];
     const std::size_t len = comp_arc_first[c + 1] - off;
-    return Graph(comp_size[c], std::span(arc_src).subspan(off, len),
-                 std::span(arc_dst).subspan(off, len),
-                 std::span(arc_weight).subspan(off, len),
-                 std::span(arc_transit).subspan(off, len));
+    return copy.emplace(comp_size[c], std::span(arc_src).subspan(off, len),
+                        std::span(arc_dst).subspan(off, len),
+                        std::span(arc_weight).subspan(off, len),
+                        std::span(arc_transit).subspan(off, len));
   };
   fault_phase_boundary("component_solve");
 
@@ -222,7 +233,8 @@ CycleResult solve_decomposed(const Graph& g, const Solver& solver,
     throw_if_cancelled(options);
     const obs::SinkScope worker_scope(options.trace);
     const std::size_t c = cyclic[i];
-    const Graph sub = component_graph(c);
+    std::optional<Graph> copy;
+    const Graph& sub = component_graph(c, copy);
     std::string label;
     if (options.trace != nullptr) {
       label = "component#" + std::to_string(c) +
@@ -265,16 +277,21 @@ CycleResult solve_decomposed(const Graph& g, const Solver& solver,
     // the winning component only.
     if (best_local_cycle.empty()) {
       const obs::Span span(obs::EventKind::kWitnessExtract, "witness_extract");
-      const Graph sub = component_graph(best_comp);
-      best_local_cycle = extract_optimal_cycle(sub, best.value, solver.kind());
+      std::optional<Graph> copy;
+      best_local_cycle =
+          extract_optimal_cycle(component_graph(best_comp, copy), best.value, solver.kind());
       if (options.metrics != nullptr) {
         options.metrics->counter("mcr_witness_extractions_total").add(1);
       }
     }
-    best.cycle.reserve(best_local_cycle.size());
-    for (const ArcId a : best_local_cycle) {
-      best.cycle.push_back(
-          arc_parent[comp_arc_first[best_comp] + static_cast<std::size_t>(a)]);
+    if (in_place) {
+      best.cycle = std::move(best_local_cycle);
+    } else {
+      best.cycle.reserve(best_local_cycle.size());
+      for (const ArcId a : best_local_cycle) {
+        best.cycle.push_back(
+            arc_parent[comp_arc_first[best_comp] + static_cast<std::size_t>(a)]);
+      }
     }
   }
 

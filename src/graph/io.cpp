@@ -1,6 +1,9 @@
 #include "graph/io.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -35,7 +38,7 @@ bool dimacs_ws(char c) {
 
 }  // namespace
 
-Graph read_dimacs(std::istream& is) {
+Graph read_dimacs(std::string_view text) {
   std::size_t lineno = 0;
   NodeId n = -1;
   ArcId declared_m = 0;
@@ -43,12 +46,21 @@ Graph read_dimacs(std::istream& is) {
   const auto fail = [&](const std::string& msg) {
     throw std::runtime_error("read_dimacs: line " + std::to_string(lineno) + ": " + msg);
   };
+  // An arc line's checks and append, shared by both paths below.
+  const auto add_arc = [&](long long u, long long v, long long w, long long t) {
+    if (u < 1 || u > n || v < 1 || v > n) fail("arc endpoint out of range");
+    if (t <= 0) {
+      fail("non-positive transit time " + std::to_string(t) +
+           " (the format requires t >= 1)");
+    }
+    arcs.push_back(ArcSpec{static_cast<NodeId>(u - 1), static_cast<NodeId>(v - 1), w, t});
+  };
 
   // Fast path for canonical arc lines — 'a' in column 0 followed by 3
-  // or 4 plain decimal tokens. Returns false on anything unusual
-  // (extra tokens, malformed or overflowing numbers, 'a' with no
-  // fields), deferring to the token-extraction path below so accept /
-  // reject behavior and error text stay byte-identical with the
+  // or 4 plain decimal tokens of at most 18 digits. Returns false on
+  // anything unusual (extra tokens, malformed or long numbers, 'a' with
+  // no fields), deferring to the token-extraction path below so accept
+  // / reject behavior and error text stay byte-identical with the
   // original istream-based reader. Multi-million-arc packs hit this
   // branch for every arc line; the istringstream-per-line cost was the
   // parse bottleneck.
@@ -66,27 +78,20 @@ Graph read_dimacs(std::istream& is) {
         neg = line[i] == '-';
         ++i;
       }
-      if (i == line.size() || line[i] < '0' || line[i] > '9') return false;
-      const unsigned long long bound =
-          neg ? 9223372036854775808ULL : 9223372036854775807ULL;
+      const std::size_t digits_begin = i;
       unsigned long long acc = 0;
       for (; i < line.size() && line[i] >= '0' && line[i] <= '9'; ++i) {
-        const unsigned long long digit = static_cast<unsigned long long>(line[i] - '0');
-        if (acc > (bound - digit) / 10) return false;  // would overflow int64
-        acc = acc * 10 + digit;
+        acc = acc * 10 + static_cast<unsigned long long>(line[i] - '0');
       }
+      // 1 to 18 digits cannot overflow int64; longer numbers (in range
+      // or not) are the legacy path's to read or reject.
+      if (i == digits_begin || i - digits_begin > 18) return false;
       if (i < line.size() && !dimacs_ws(line[i])) return false;  // "12x"
-      vals[count++] = neg ? static_cast<long long>(-acc) : static_cast<long long>(acc);
+      const auto value = static_cast<long long>(acc);
+      vals[count++] = neg ? -value : value;
     }
     if (count < 3) return false;
-    const long long u = vals[0], v = vals[1], w = vals[2];
-    const long long t = count == 4 ? vals[3] : 1;
-    if (u < 1 || u > n || v < 1 || v > n) fail("arc endpoint out of range");
-    if (t <= 0) {
-      fail("non-positive transit time " + std::to_string(t) +
-           " (the format requires t >= 1)");
-    }
-    arcs.push_back(ArcSpec{static_cast<NodeId>(u - 1), static_cast<NodeId>(v - 1), w, t});
+    add_arc(vals[0], vals[1], vals[2], count == 4 ? vals[3] : 1);
     return true;
   };
 
@@ -102,12 +107,17 @@ Graph read_dimacs(std::istream& is) {
     if (kind == 'p') {
       std::string tag;
       long long nn = 0, mm = 0;
-      if (!(ls >> tag >> nn >> mm) || tag != "mcr" || nn < 0 || mm < 0) {
+      constexpr long long kIdMax = std::numeric_limits<std::int32_t>::max();
+      if (!(ls >> tag >> nn >> mm) || tag != "mcr" || nn < 0 || mm < 0 || nn > kIdMax ||
+          mm > kIdMax) {
         fail("malformed problem line (expected 'p mcr <n> <m>')");
       }
       n = static_cast<NodeId>(nn);
       declared_m = static_cast<ArcId>(mm);
-      arcs.reserve(static_cast<std::size_t>(mm));
+      // Reserve no more than the text can hold at 8 bytes per arc line
+      // ("a 1 2 5\n"): a short request must not allocate for the m its
+      // header claims.
+      arcs.reserve(std::min(static_cast<std::size_t>(mm), text.size() / 8));
     } else if (kind == 'a') {
       if (n < 0) fail("arc line before problem line");
       long long u = 0, v = 0, w = 0, t = 1;
@@ -115,53 +125,45 @@ Graph read_dimacs(std::istream& is) {
       if (!(ls >> t)) t = 1;
       std::string extra;
       if (ls >> extra) fail("trailing tokens after arc line ('" + extra + "')");
-      if (u < 1 || u > n || v < 1 || v > n) fail("arc endpoint out of range");
-      if (t <= 0) {
-        fail("non-positive transit time " + std::to_string(t) +
-             " (the format requires t >= 1)");
-      }
-      arcs.push_back(ArcSpec{static_cast<NodeId>(u - 1), static_cast<NodeId>(v - 1), w, t});
+      add_arc(u, v, w, t);
     } else {
       fail(std::string("unknown line kind '") + kind + "'");
     }
   };
 
-  const auto handle_line = [&](std::string_view line) {
+  // Lines are split in place on '\n'; a last line without one counts
+  // too (getline would yield it).
+  for (std::size_t begin = 0; begin < text.size();) {
+    const std::size_t end = std::min(text.find('\n', begin), text.size());
+    const std::string_view line = text.substr(begin, end - begin);
+    begin = end + 1;
     ++lineno;
-    if (line.empty() || line[0] == 'c') return;
-    if (line[0] == 'a' && fast_arc_line(line)) return;
+    if (line.empty() || line[0] == 'c') continue;
+    if (line[0] == 'a' && fast_arc_line(line)) continue;
     slow_line(line);
-  };
-
-  // Buffered line scan: read in large chunks and split on '\n'
-  // manually instead of getline + istringstream per line. `carry`
-  // holds at most one partial line between chunks.
-  std::vector<char> chunk(1 << 20);
-  std::string carry;
-  for (;;) {
-    is.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-    const std::size_t got = static_cast<std::size_t>(is.gcount());
-    if (got == 0) break;
-    carry.append(chunk.data(), got);
-    std::size_t begin = 0;
-    for (;;) {
-      const std::size_t nl = carry.find('\n', begin);
-      if (nl == std::string::npos) break;
-      handle_line(std::string_view(carry).substr(begin, nl - begin));
-      begin = nl + 1;
-    }
-    carry.erase(0, begin);
   }
-  // Final line without a trailing newline (getline would yield it too).
-  if (!carry.empty()) handle_line(carry);
 
   if (n < 0) throw std::runtime_error("read_dimacs: missing problem line");
-  if (static_cast<ArcId>(arcs.size()) != declared_m) {
+  if (arcs.size() != static_cast<std::size_t>(declared_m)) {
     throw std::runtime_error("read_dimacs: arc count mismatch (declared " +
                              std::to_string(declared_m) + ", found " +
                              std::to_string(arcs.size()) + ")");
   }
   return Graph(n, arcs);
+}
+
+Graph read_dimacs(std::istream& is) {
+  constexpr std::size_t kBlock = std::size_t{1} << 16;
+  std::string text;
+  std::size_t got = kBlock;
+  while (got == kBlock) {
+    const std::size_t old_size = text.size();
+    text.resize(old_size + kBlock);
+    is.read(text.data() + old_size, static_cast<std::streamsize>(kBlock));
+    got = static_cast<std::size_t>(is.gcount());
+    text.resize(old_size + got);
+  }
+  return read_dimacs(std::string_view(text));
 }
 
 void save_dimacs(const std::string& path, const Graph& g, const std::string& comment) {

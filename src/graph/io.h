@@ -14,6 +14,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "graph/graph.h"
 
@@ -22,8 +23,12 @@ namespace mcr {
 /// Writes g in the extended DIMACS format.
 void write_dimacs(std::ostream& os, const Graph& g, const std::string& comment = "");
 
-/// Parses a graph; throws std::runtime_error with a line number on
-/// malformed input.
+/// Parses a graph from the whole text, splitting lines in place;
+/// throws std::runtime_error with a line number on malformed input
+/// (including a problem line whose n or m exceeds INT32_MAX).
+[[nodiscard]] Graph read_dimacs(std::string_view text);
+
+/// Reads the stream to its end, then parses that text as above.
 [[nodiscard]] Graph read_dimacs(std::istream& is);
 
 /// File-path conveniences.

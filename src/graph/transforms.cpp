@@ -2,21 +2,24 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "support/checked.h"
 
 namespace mcr {
 
 namespace {
 
-Graph rebuild(const Graph& g, bool negate, bool unit_transit, std::int64_t factor,
-              bool reversed) {
+Graph rebuild(const Graph& g, std::int64_t factor, bool unit_transit, bool reversed) {
   std::vector<ArcSpec> arcs;
   arcs.reserve(static_cast<std::size_t>(g.num_arcs()));
   for (ArcId a = 0; a < g.num_arcs(); ++a) {
     ArcSpec s;
     s.src = reversed ? g.dst(a) : g.src(a);
     s.dst = reversed ? g.src(a) : g.dst(a);
-    s.weight = g.weight(a) * factor * (negate ? -1 : 1);
+    s.weight = checked_mul(g.weight(a), factor);
     s.transit = unit_transit ? 1 : g.transit(a);
     arcs.push_back(s);
   }
@@ -25,15 +28,21 @@ Graph rebuild(const Graph& g, bool negate, bool unit_transit, std::int64_t facto
 
 }  // namespace
 
-Graph negate_weights(const Graph& g) { return rebuild(g, true, false, 1, false); }
-
-Graph with_unit_transit(const Graph& g) { return rebuild(g, false, true, 1, false); }
-
-Graph scale_weights(const Graph& g, std::int64_t factor) {
-  return rebuild(g, false, false, factor, false);
+Graph negate_weights(const Graph& g) {
+  if (g.min_weight() == std::numeric_limits<std::int64_t>::min()) {
+    throw std::invalid_argument("negate_weights: weight " + std::to_string(g.min_weight()) +
+                                " has no int64 negation");
+  }
+  return rebuild(g, -1, false, false);
 }
 
-Graph reverse(const Graph& g) { return rebuild(g, false, false, 1, true); }
+Graph with_unit_transit(const Graph& g) { return rebuild(g, 1, true, false); }
+
+Graph scale_weights(const Graph& g, std::int64_t factor) {
+  return rebuild(g, factor, false, false);
+}
+
+Graph reverse(const Graph& g) { return rebuild(g, 1, false, true); }
 
 SimplifiedGraph simplify_parallel_arcs(const Graph& g, bool ratio) {
   // Bucket parallel arcs per (src, dst) by scanning each node's out-arcs

@@ -12,14 +12,16 @@
 
 namespace mcr {
 
-/// A copy of g with every weight negated.
+/// A copy of g with every weight negated. Throws std::invalid_argument
+/// when a weight is INT64_MIN, which has no int64 negation.
 [[nodiscard]] Graph negate_weights(const Graph& g);
 
 /// A copy of g with every transit time set to 1 (turns a ratio instance
 /// into the corresponding mean instance).
 [[nodiscard]] Graph with_unit_transit(const Graph& g);
 
-/// A copy of g with every weight multiplied by `factor`.
+/// A copy of g with every weight multiplied by `factor`; throws
+/// NumericOverflow when a product leaves int64.
 [[nodiscard]] Graph scale_weights(const Graph& g, std::int64_t factor);
 
 /// A copy of g with all arcs reversed (weights/transits preserved).

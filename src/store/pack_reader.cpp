@@ -99,7 +99,7 @@ void check_csr(std::span<const std::int32_t> first, std::span<const ArcId> arc_i
     fail(PackErrorKind::kBadSection, path, std::string(what) + ": offset array endpoints");
   }
   for (std::size_t v = 0; v + 1 < first.size(); ++v) {
-    if (first[v] > first[v + 1]) {
+    if (first[v] > first[v + 1] || first[v + 1] > num_arcs) {
       fail(PackErrorKind::kBadSection, path, std::string(what) + ": offsets not monotone");
     }
     for (std::int32_t pos = first[v]; pos < first[v + 1]; ++pos) {
@@ -108,6 +108,13 @@ void check_csr(std::span<const std::int32_t> first, std::span<const ArcId> arc_i
           key[static_cast<std::size_t>(a)] != static_cast<NodeId>(v)) {
         fail(PackErrorKind::kBadSection, path,
              std::string(what) + ": arc ids inconsistent with arc endpoints");
+      }
+      // Strictly ascending per node, the order Graph's counting sort
+      // builds: every arc then appears exactly once, and the driver's
+      // in-place solve of a strongly connected pack graph sees the CSR a
+      // rebuilt copy would have.
+      if (pos > first[v] && a <= arc_ids[static_cast<std::size_t>(pos) - 1]) {
+        fail(PackErrorKind::kBadSection, path, std::string(what) + ": arc ids not ascending");
       }
     }
   }

@@ -30,8 +30,8 @@ class PackReader {
   /// Maps and validates the pack at `path`. Throws PackError with a
   /// typed kind on any failure; on success every section has been
   /// structurally validated (offsets in bounds and aligned, CSR indices
-  /// consistent, component ids in range), so downstream code can trust
-  /// the view without further checks.
+  /// consistent and ascending per node, component ids in range), so
+  /// downstream code can trust the view without further checks.
   [[nodiscard]] static PackReader open(const std::string& path);
 
   /// The validated header (summaries, fingerprint, section table).

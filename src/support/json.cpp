@@ -1,8 +1,11 @@
 #include "support/json.h"
 
+#include <bit>
 #include <cctype>
 #include <charconv>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -98,35 +101,61 @@ class Parser {
   std::string parse_string() {
     ++pos_;  // opening quote
     std::string out;
-    while (pos_ < s_.size()) {
+    while (true) {
+      // Copy the run of plain bytes up to the next quote, backslash or
+      // control byte in one append.
+      const std::size_t end = plain_run_end(pos_);
+      out.append(s_.data() + pos_, end - pos_);
+      pos_ = end;
+      if (pos_ >= s_.size()) fail("unterminated string");
       const char c = s_[pos_];
-      if (static_cast<unsigned char>(c) < 0x20) fail("raw control character in string");
       if (c == '"') {
         ++pos_;
         return out;
       }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) fail("truncated escape");
-        switch (s_[pos_]) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': out += parse_unicode_escape(); continue;
-          default: fail("unknown escape");
-        }
-        ++pos_;
-        continue;
+      if (c != '\\') fail("raw control character in string");
+      ++pos_;
+      if (pos_ >= s_.size()) fail("truncated escape");
+      switch (s_[pos_]) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': out += parse_unicode_escape(); continue;
+        default: fail("unknown escape");
       }
-      out += c;
       ++pos_;
     }
-    fail("unterminated string");
+  }
+
+  /// Offset of the first '"', '\\' or byte below 0x20 at or after `i`,
+  /// or s_.size(). Tests eight bytes per step: each check flags the
+  /// high bit of a matching byte, and a false flag can only come from a
+  /// borrow out of a true match below it, so the lowest flagged byte is
+  /// the first hit.
+  [[nodiscard]] std::size_t plain_run_end(std::size_t i) const {
+    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+    constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+    const auto zero_bytes = [](std::uint64_t x) { return (x - kOnes) & ~x; };
+    for (; i + 8 <= s_.size(); i += 8) {
+      std::uint64_t w;
+      std::memcpy(&w, s_.data() + i, 8);
+      if constexpr (std::endian::native == std::endian::big) w = __builtin_bswap64(w);
+      const std::uint64_t hits = (zero_bytes(w ^ (kOnes * '"')) |
+                                  zero_bytes(w ^ (kOnes * '\\')) |
+                                  ((w - kOnes * 0x20) & ~w)) &
+                                 kHigh;
+      if (hits != 0) return i + static_cast<std::size_t>(std::countr_zero(hits) / 8);
+    }
+    for (; i < s_.size(); ++i) {
+      const auto c = static_cast<unsigned char>(s_[i]);
+      if (c == '"' || c == '\\' || c < 0x20) break;
+    }
+    return i;
   }
 
   /// \uXXXX, decoded to UTF-8 (surrogate pairs supported; our own

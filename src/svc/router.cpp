@@ -276,8 +276,7 @@ std::string Router::routing_key_for(const json::Value& request) {
   // back to a content-hash key and lets a worker own the BAD_REQUEST.
   if (request.has("dimacs") && request.at("dimacs").is_string()) {
     try {
-      std::istringstream is(request.at("dimacs").as_string());
-      return "fp:" + fingerprint_hex(read_dimacs(is));
+      return "fp:" + fingerprint_hex(read_dimacs(request.at("dimacs").as_string()));
     } catch (const std::exception&) {
       return "dimacs:" + std::to_string(hash_bytes(request.at("dimacs").as_string()));
     }

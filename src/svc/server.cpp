@@ -280,10 +280,7 @@ std::pair<std::shared_ptr<const Graph>, std::string> Server::resolve_graph(
     return {std::move(g), fp};
   }
   Graph loaded = [&]() -> Graph {
-    if (req.has("dimacs")) {
-      std::istringstream is(req.at("dimacs").as_string());
-      return read_dimacs(is);
-    }
+    if (req.has("dimacs")) return read_dimacs(req.at("dimacs").as_string());
     if (req.has("path")) return load_dimacs(req.at("path").as_string());
     if (req.has("generator")) {
       const json::Value& spec = req.at("generator");

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/registry.h"
 #include "core/verify.h"
+#include "gen/sprand.h"
 #include "gen/structured.h"
 #include "graph/builder.h"
+#include "graph/scc.h"
 
 namespace mcr {
 namespace {
@@ -152,6 +158,75 @@ TEST(Driver, NegativeWeights) {
   const auto r = minimum_cycle_mean(b.build(), "howard");
   ASSERT_TRUE(r.has_cycle);
   EXPECT_EQ(r.value, Rational(-3));
+}
+
+// A strongly connected graph is solved in place; the same graph plus
+// one isolated node (the last id) goes through the component copy,
+// which has the same node ids, arc order and CSR. Every solver must
+// return the same value, cycle and counters either way.
+TEST(Driver, InPlaceSolveMatchesComponentCopy) {
+  for (const auto& [n, m] : {std::pair{24, 72}, std::pair{160, 640}}) {
+    gen::SprandConfig cfg;
+    cfg.n = n;
+    cfg.m = m;
+    cfg.min_weight = -300;
+    cfg.max_weight = 700;
+    cfg.max_transit = 10;
+    cfg.seed = 17;
+    const Graph g = gen::sprand(cfg);
+    ASSERT_EQ(strongly_connected_components(g).num_components, 1);
+    std::vector<ArcSpec> arcs;
+    for (ArcId a = 0; a < g.num_arcs(); ++a) {
+      arcs.push_back({g.src(a), g.dst(a), g.weight(a), g.transit(a)});
+    }
+    const Graph padded(g.num_nodes() + 1, arcs);
+    ASSERT_EQ(strongly_connected_components(padded).num_components, 2);
+    for (const std::string& name : SolverRegistry::instance().all_names()) {
+      if (n > 24 && name.rfind("brute_force", 0) == 0) continue;  // oracle: too slow
+      const bool ratio = SolverRegistry::instance().info(name).kind == ProblemKind::kCycleRatio;
+      for (const bool maximize : {false, true}) {
+        SCOPED_TRACE(name + (maximize ? " max n=" : " min n=") + std::to_string(n));
+        const auto solve = [&](const Graph& h) {
+          if (ratio) return maximize ? maximum_cycle_ratio(h, name) : minimum_cycle_ratio(h, name);
+          return maximize ? maximum_cycle_mean(h, name) : minimum_cycle_mean(h, name);
+        };
+        const CycleResult in_place = solve(g);
+        const CycleResult copied = solve(padded);
+        ASSERT_TRUE(in_place.has_cycle);
+        ASSERT_TRUE(copied.has_cycle);
+        EXPECT_EQ(in_place.value, copied.value);
+        EXPECT_EQ(in_place.cycle, copied.cycle);
+        EXPECT_EQ(in_place.counters, copied.counters);
+      }
+    }
+  }
+}
+
+// INT64_MIN has no int64 negation, so the max objectives (which solve
+// the weight-negated graph) refuse it instead of flipping its sign.
+TEST(Driver, MaxObjectivesRejectInt64MinWeight) {
+  GraphBuilder b(2);
+  b.add_arc(0, 1, std::numeric_limits<std::int64_t>::min());
+  b.add_arc(1, 0, 0);
+  const Graph g = b.build();
+  EXPECT_EQ(minimum_cycle_mean(g, "howard").value,
+            Rational(std::numeric_limits<std::int64_t>::min() / 2));
+  for (const char* name : {"howard", "karp", "yto"}) {
+    EXPECT_THROW((void)maximum_cycle_mean(g, name), std::invalid_argument) << name;
+  }
+  for (const char* name : {"howard_ratio", "yto_ratio"}) {
+    EXPECT_THROW((void)maximum_cycle_ratio(g, name), std::invalid_argument) << name;
+  }
+  // One above INT64_MIN negates, and the maximum is that cycle's mean.
+  GraphBuilder c(2);
+  c.add_arc(0, 1, std::numeric_limits<std::int64_t>::min() + 1);
+  c.add_arc(1, 0, -1);
+  const Graph h = c.build();
+  for (const char* name : {"howard", "karp", "yto"}) {
+    const CycleResult r = maximum_cycle_mean(h, name);
+    ASSERT_TRUE(r.has_cycle) << name;
+    EXPECT_EQ(r.value, Rational(std::numeric_limits<std::int64_t>::min() / 2)) << name;
+  }
 }
 
 }  // namespace

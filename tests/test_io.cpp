@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "graph/builder.h"
 
@@ -172,19 +176,44 @@ TEST(DimacsIo, LoadMissingFileThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// The buffered line scanner has a fast path for canonical arc lines and
+// The string_view parser has a fast path for canonical arc lines and
 // falls back to the legacy token-extraction path for anything unusual.
 // These tests pin the exact error strings (and the deliberate legacy
 // quirks) so the fast path can never drift from the reference behavior.
+// Every case runs through both overloads: the std::istream one reads
+// the stream into a string and must give the same graph or the same
+// error text as parsing that string directly.
 
 std::string read_error(const std::string& text) {
-  std::istringstream is(text);
+  std::string errors[2];
   try {
+    std::istringstream is(text);
     (void)read_dimacs(is);
   } catch (const std::runtime_error& e) {
-    return e.what();
+    errors[0] = e.what();
   }
-  return "";
+  try {
+    (void)read_dimacs(std::string_view(text));
+  } catch (const std::runtime_error& e) {
+    errors[1] = e.what();
+  }
+  EXPECT_EQ(errors[0], errors[1]) << text;
+  return errors[1];
+}
+
+Graph read_both(const std::string& text) {
+  std::istringstream is(text);
+  const Graph streamed = read_dimacs(is);
+  Graph parsed = read_dimacs(std::string_view(text));
+  EXPECT_EQ(streamed.num_nodes(), parsed.num_nodes());
+  EXPECT_EQ(streamed.num_arcs(), parsed.num_arcs());
+  for (ArcId a = 0; a < std::min(streamed.num_arcs(), parsed.num_arcs()); ++a) {
+    EXPECT_EQ(streamed.src(a), parsed.src(a));
+    EXPECT_EQ(streamed.dst(a), parsed.dst(a));
+    EXPECT_EQ(streamed.weight(a), parsed.weight(a));
+    EXPECT_EQ(streamed.transit(a), parsed.transit(a));
+  }
+  return parsed;
 }
 
 TEST(DimacsScanner, ExactErrorStrings) {
@@ -230,15 +259,13 @@ TEST(DimacsScanner, UnreadableFourthTokenFallsBackToTransitOne) {
   // Legacy quirk, preserved bug-for-bug: a 4th token that fails int64
   // extraction falls back to t = 1, and the stuck failbit hides it from
   // the trailing-token check.
-  std::istringstream is("p mcr 2 1\na 1 2 5 x\n");
-  const Graph g = read_dimacs(is);
+  const Graph g = read_both("p mcr 2 1\na 1 2 5 x\n");
   ASSERT_EQ(g.num_arcs(), 1);
   EXPECT_EQ(g.weight(0), 5);
   EXPECT_EQ(g.transit(0), 1);
   // Same stuck-failbit quirk when the junk is glued to the weight: "3x"
   // reads weight 3, then 'x' consumes the transit extraction.
-  std::istringstream glued("p mcr 4 1\na 1 2 3x\n");
-  const Graph g2 = read_dimacs(glued);
+  const Graph g2 = read_both("p mcr 4 1\na 1 2 3x\n");
   ASSERT_EQ(g2.num_arcs(), 1);
   EXPECT_EQ(g2.weight(0), 3);
   EXPECT_EQ(g2.transit(0), 1);
@@ -247,8 +274,7 @@ TEST(DimacsScanner, UnreadableFourthTokenFallsBackToTransitOne) {
 TEST(DimacsScanner, CrlfAndFinalLineWithoutNewline) {
   // CR is line-internal whitespace (the scanner splits on LF only), so
   // CRLF files parse; a last line with no terminator still counts.
-  std::istringstream is("p mcr 2 2\r\na 1 2 5\r\na 2 1 -3 4");
-  const Graph g = read_dimacs(is);
+  const Graph g = read_both("p mcr 2 2\r\na 1 2 5\r\na 2 1 -3 4");
   ASSERT_EQ(g.num_arcs(), 2);
   EXPECT_EQ(g.weight(0), 5);
   EXPECT_EQ(g.transit(0), 1);
@@ -260,11 +286,8 @@ TEST(DimacsScanner, FastAndSlowPathsAgreeOnEquivalentSpellings) {
   // The same graph spelled canonically (fast path) and with legacy
   // oddities (leading whitespace, '+' signs, tab separators — slow
   // path) must parse identically.
-  std::istringstream fast("p mcr 3 3\na 1 2 10\na 2 3 -5 3\na 3 1 7\n");
-  std::istringstream slow(
-      "p mcr 3 3\n  a 1 2 10\na\t+2\t+3\t-5\t+3\na 3 1 +7\n");
-  const Graph a = read_dimacs(fast);
-  const Graph b = read_dimacs(slow);
+  const Graph a = read_both("p mcr 3 3\na 1 2 10\na 2 3 -5 3\na 3 1 7\n");
+  const Graph b = read_both("p mcr 3 3\n  a 1 2 10\na\t+2\t+3\t-5\t+3\na 3 1 +7\n");
   ASSERT_EQ(a.num_arcs(), b.num_arcs());
   for (ArcId e = 0; e < a.num_arcs(); ++e) {
     EXPECT_EQ(a.src(e), b.src(e));
@@ -275,20 +298,51 @@ TEST(DimacsScanner, FastAndSlowPathsAgreeOnEquivalentSpellings) {
 }
 
 TEST(DimacsScanner, ChunkBoundarySafety) {
-  // A file big enough to span multiple 1 MiB read chunks, with the
-  // header asserting the exact arc count: no line is lost or doubled at
-  // chunk boundaries.
+  // A text larger than 1 MiB, so the std::istream overload reads many
+  // 64 KiB blocks, with the header asserting the exact arc count: no
+  // line is lost or doubled where a block ends.
   constexpr int kArcs = 150000;  // ~1.7 MB of text
   std::string text = "p mcr 2 " + std::to_string(kArcs) + "\n";
   for (int i = 0; i < kArcs; ++i) {
     text += (i % 2) == 0 ? "a 1 2 7\n" : "a 2 1 -345678 9\n";
   }
-  std::istringstream is(text);
-  const Graph g = read_dimacs(is);
+  const Graph g = read_both(text);
   ASSERT_EQ(g.num_arcs(), kArcs);
   EXPECT_EQ(g.weight(0), 7);
   EXPECT_EQ(g.weight(1), -345678);
   EXPECT_EQ(g.transit(1), 9);
+}
+
+TEST(DimacsScanner, LongNumbersTakeTheLegacyPath) {
+  // The fast path reads at most 18 digits; a longer number, in int64
+  // range or not, is read or rejected by token extraction.
+  const Graph g = read_both(
+      "p mcr 2 3\na 1 2 -9223372036854775808\na 2 1 9223372036854775807 "
+      "0000000000000000000007\na 1 1 000000000000000000001\n");
+  ASSERT_EQ(g.num_arcs(), 3);
+  EXPECT_EQ(g.weight(0), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(g.weight(1), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(g.transit(1), 7);
+  EXPECT_EQ(g.weight(2), 1);
+  EXPECT_EQ(read_error("p mcr 2 1\na 1 2 9223372036854775808\n"),
+            "read_dimacs: line 2: malformed arc line");
+}
+
+TEST(DimacsScanner, ProblemLineBoundsNodeAndArcCounts) {
+  const std::string malformed =
+      "read_dimacs: line 1: malformed problem line (expected 'p mcr <n> <m>')";
+  // n or m beyond INT32_MAX would wrap in the cast to a 32-bit id:
+  // 4294967298 nodes read as 2, 4294967297 arcs as 1.
+  EXPECT_EQ(read_error("p mcr 4294967298 2\na 1 2 5\na 2 1 3\n"), malformed);
+  EXPECT_EQ(read_error("p mcr 2 4294967297\na 1 2 5\n"), malformed);
+  EXPECT_EQ(read_error("p mcr 2147483648 0\n"), malformed);
+  EXPECT_EQ(read_error("p mcr 2 2147483648\n"), malformed);
+  // A header's m sizes no allocation: a 27-byte text claiming a billion
+  // arcs fails on the count, not on memory.
+  EXPECT_EQ(read_error("p mcr 2 1000000000\na 1 2 5\n"),
+            "read_dimacs: arc count mismatch (declared 1000000000, found 1)");
+  EXPECT_EQ(read_error("p mcr 2 2147483647\n"),
+            "read_dimacs: arc count mismatch (declared 2147483647, found 0)");
 }
 
 }  // namespace

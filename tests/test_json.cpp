@@ -5,9 +5,15 @@
 // byte offset), and the typed accessor errors.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "gen/sprand.h"
+#include "graph/io.h"
 #include "support/json.h"
 
 namespace mcr {
@@ -41,6 +47,119 @@ TEST(Json, DecodesStringEscapes) {
   EXPECT_EQ(json::parse(R"("\u0041\u00e9")").as_string(), "A\xc3\xa9");
   // Surrogate pair: U+1F600 (😀) as \ud83d\ude00.
   EXPECT_EQ(json::parse(R"("\ud83d\ude00")").as_string(), "\xf0\x9f\x98\x80");
+}
+
+// The byte-at-a-time decoder json::parse used before it scanned strings
+// eight bytes per step, for a document that is one string literal:
+// the decoded string, or the error text parse must throw.
+struct Decoded {
+  std::string value;
+  std::string error;
+};
+
+Decoded reference_decode(std::string_view doc) {
+  std::size_t pos = 1;  // past the opening quote
+  std::string out;
+  const auto fail = [&](const char* what) {
+    return Decoded{"", "json: " + std::string(what) + " at offset " + std::to_string(pos)};
+  };
+  while (pos < doc.size()) {
+    const char c = doc[pos];
+    if (static_cast<unsigned char>(c) < 0x20) return fail("raw control character in string");
+    if (c == '"') {
+      ++pos;
+      while (pos < doc.size() &&
+             (doc[pos] == ' ' || doc[pos] == '\t' || doc[pos] == '\n' || doc[pos] == '\r')) {
+        ++pos;
+      }
+      if (pos != doc.size()) return fail("trailing data after JSON value");
+      return {out, ""};
+    }
+    if (c == '\\') {
+      ++pos;
+      if (pos >= doc.size()) return fail("truncated escape");
+      switch (doc[pos]) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': {  // this test only writes \u00XX with XX < 0x80
+          ++pos;
+          if (pos + 4 > doc.size()) {
+            pos = doc.size();
+            return fail("truncated \\u escape");
+          }
+          out += static_cast<char>(std::stoi(std::string(doc.substr(pos, 4)), nullptr, 16));
+          pos += 3;
+          break;
+        }
+        default: return fail("unknown escape");
+      }
+      ++pos;
+      continue;
+    }
+    out += c;
+    ++pos;
+  }
+  return fail("unterminated string");
+}
+
+void expect_decodes_like_reference(const std::string& doc) {
+  const Decoded want = reference_decode(doc);
+  try {
+    const std::string got = json::parse(doc).as_string();
+    EXPECT_EQ(want.error, "") << json::escape(doc);
+    EXPECT_EQ(got, want.value) << json::escape(doc);
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(e.what(), want.error) << json::escape(doc);
+  }
+}
+
+TEST(Json, StringScanMatchesByteAtATimeDecodingAtEveryWordOffset) {
+  // Bytes that end a plain run (quote, backslash, escapes, control
+  // bytes) and bytes next to the word-scan thresholds that must not.
+  const std::vector<std::string> specials = {
+      "\"",  "\\",   "\\\\", "\\\"", "\\n", "\\u0041", "\\q", "\x01", "\x1f",
+      std::string(1, '\0'), " ", "!", "#", "[", "]", "\x7f", "\x80",
+      "\xa0", "\xa2", "\xdc", "\xff"};
+  const std::string_view filler = "abcdefghijklmnopqr";  // 18 plain bytes
+  const auto doc = [](std::initializer_list<std::string_view> parts) {
+    std::string out = "\"";
+    for (const std::string_view part : parts) out += part;
+    return out;
+  };
+  for (std::size_t i = 0; i < filler.size(); ++i) {
+    for (const std::string& s : specials) {
+      const std::string_view head = filler.substr(0, i);
+      expect_decodes_like_reference(doc({head, s, filler.substr(i), "\""}));
+      expect_decodes_like_reference(doc({head, s}));  // unterminated
+      for (std::size_t j = i; j < filler.size(); ++j) {
+        for (const std::string& t : specials) {
+          expect_decodes_like_reference(
+              doc({head, s, filler.substr(i, j - i), t, filler.substr(j), "\""}));
+        }
+      }
+    }
+  }
+}
+
+TEST(Json, EscapedDimacsTextRoundTrips) {
+  gen::SprandConfig cfg;
+  cfg.n = 512;
+  cfg.m = 2048;
+  cfg.seed = 5;
+  std::ostringstream os;
+  write_dimacs(os, gen::sprand(cfg), "quote \" backslash \\ tab \t bell \x07 byte \xe9");
+  const std::string text = os.str();
+  ASSERT_GT(text.size(), 25000u);
+  EXPECT_EQ(json::parse("\"" + json::escape(text) + "\"").as_string(), text);
+  const json::Value request =
+      json::parse(R"({"verb":"SOLVE","dimacs":")" + json::escape(text) + R"("})");
+  EXPECT_EQ(request.at("dimacs").as_string(), text);
 }
 
 TEST(Json, WhitespaceAroundTokensIsFine) {

@@ -287,6 +287,37 @@ TEST(PackRejection, HeaderWeightRangeOrTransitLieIsBadHeader) {
             store::PackErrorKind::kBadHeader);
 }
 
+TEST(PackRejection, CsrArcIdsOutOfOrderOrDuplicatedIsBadSection) {
+  // The driver solves a strongly connected graph on its own CSR, so a
+  // pack's CSR must be the one Graph's build gives: per node, each arc
+  // once, ascending. Resealed lies on one node's out-arcs must not
+  // attach, though every id still names an arc leaving that node.
+  TempPack pack;
+  const Graph g = make_sprand(32, 96, 9);
+  store::write_pack(pack.path, g);
+  const std::string bytes = read_file(pack.path);
+  store::PackHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  NodeId u = 0;
+  while (g.out_degree(u) < 2) ++u;
+  const std::size_t slot =
+      header.sections[static_cast<std::size_t>(store::SectionId::kOutArcs)].offset +
+      static_cast<std::size_t>(g.out_first()[static_cast<std::size_t>(u)]) * sizeof(ArcId);
+  const auto lie = [&](ArcId first, ArcId second) {
+    std::string mutated = bytes;
+    std::memcpy(mutated.data() + slot, &first, sizeof(first));
+    std::memcpy(mutated.data() + slot + sizeof(ArcId), &second, sizeof(second));
+    reseal(mutated);
+    TempPack mutant;
+    write_file(mutant.path, mutated);
+    return open_expecting_error(mutant.path);
+  };
+  const ArcId a = g.out_arcs(u)[0];
+  const ArcId b = g.out_arcs(u)[1];
+  EXPECT_EQ(lie(b, a), store::PackErrorKind::kBadSection);  // swapped
+  EXPECT_EQ(lie(a, a), store::PackErrorKind::kBadSection);  // duplicated, b missing
+}
+
 TEST(PackRejection, FileBytesMismatchIsRejectedEvenWhenResealed) {
   TempPack pack;
   store::write_pack(pack.path, make_sprand(32, 96, 9));

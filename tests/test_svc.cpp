@@ -592,6 +592,44 @@ TEST(SvcServer, ErrorsAreExplicitAndConnectionSurvives) {
   server.stop_and_drain();
 }
 
+// A DIMACS header's n and m are bounded and size no allocation: a
+// 57-byte SOLVE claiming a billion arcs is the client's error, not an
+// out-of-memory INTERNAL, and a max objective on an INT64_MIN weight
+// (which has no negation) is refused rather than answered with the
+// wrong sign.
+TEST(SvcServer, HostileDimacsHeadersAndInt64MinAreBadRequests) {
+  svc::ServerOptions so;
+  so.unix_socket_path = unique_socket_path();
+  svc::Server server(so);
+  server.start();
+  svc::Client client = svc::Client::connect_unix(so.unix_socket_path);
+
+  json::Value r = client.request(R"({"verb":"SOLVE","dimacs":"p mcr 2 1000000000\na 1 2 5\n"})");
+  EXPECT_EQ(r.string_or("code", ""), "BAD_REQUEST");
+  EXPECT_NE(r.string_or("message", "").find("arc count mismatch (declared 1000000000"),
+            std::string::npos)
+      << r.string_or("message", "");
+  r = client.request(
+      R"({"verb":"SOLVE","dimacs":"p mcr 4294967298 2\na 1 2 5\na 2 1 3\n"})");
+  EXPECT_EQ(r.string_or("code", ""), "BAD_REQUEST");
+  EXPECT_NE(r.string_or("message", "").find("malformed problem line"), std::string::npos)
+      << r.string_or("message", "");
+
+  const std::string int64_min_ring =
+      R"("dimacs":"p mcr 2 2\na 1 2 -9223372036854775808\na 2 1 0\n")";
+  r = client.request(R"({"verb":"SOLVE",)" + int64_min_ring + R"(,"objective":"max_mean"})");
+  EXPECT_EQ(r.string_or("code", ""), "BAD_REQUEST");
+  EXPECT_NE(r.string_or("message", "").find("no int64 negation"), std::string::npos)
+      << r.string_or("message", "");
+  // The minimum is still answered.
+  r = client.request(R"({"verb":"SOLVE",)" + int64_min_ring + R"(,"objective":"min_mean"})");
+  EXPECT_EQ(r.string_or("status", ""), "ok");
+
+  EXPECT_EQ(server.metrics().counter("mcr_connection_errors_total").value(), 0u);
+  EXPECT_TRUE(client.ping());
+  server.stop_and_drain();
+}
+
 // The ISSUE acceptance test: the same solve from 8 concurrent clients
 // runs exactly one underlying solve, and every response carries a
 // byte-identical result object.

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "core/driver.h"
 #include "gen/sprand.h"
 #include "gen/structured.h"
 #include "graph/builder.h"
+#include "support/checked.h"
 
 namespace mcr {
 namespace {
@@ -17,6 +23,23 @@ TEST(Transforms, NegateWeights) {
   EXPECT_EQ(neg.weight(1), 2);
   EXPECT_EQ(neg.weight(2), -3);
   EXPECT_EQ(neg.num_nodes(), g.num_nodes());
+}
+
+TEST(Transforms, NegateRejectsInt64MinWeight) {
+  // -INT64_MIN is not an int64: negation would wrap it back to itself
+  // and give a max objective the wrong sign.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const Graph g = gen::ring({kMin, 0});
+  try {
+    (void)negate_weights(g);
+    FAIL() << "negate_weights accepted INT64_MIN";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "negate_weights: weight -9223372036854775808 has no int64 negation");
+  }
+  const Graph neg = negate_weights(gen::ring({kMin + 1, std::numeric_limits<std::int64_t>::max()}));
+  EXPECT_EQ(neg.weight(0), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(neg.weight(1), kMin + 1);
 }
 
 TEST(Transforms, WithUnitTransit) {
@@ -33,6 +56,13 @@ TEST(Transforms, ScaleWeights) {
   const Graph g = scale_weights(gen::ring({1, 2, 3}), -4);
   EXPECT_EQ(g.weight(0), -4);
   EXPECT_EQ(g.weight(2), -12);
+}
+
+TEST(Transforms, ScaleWeightsOverflowThrows) {
+  const Graph g = gen::ring({1, std::numeric_limits<std::int64_t>::max() / 2 + 1});
+  EXPECT_THROW((void)scale_weights(g, 2), NumericOverflow);
+  EXPECT_THROW((void)scale_weights(gen::ring({std::numeric_limits<std::int64_t>::min()}), -1),
+               NumericOverflow);
 }
 
 TEST(Transforms, ReverseSwapsEndpoints) {
