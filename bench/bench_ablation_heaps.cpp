@@ -2,8 +2,11 @@
 // Fibonacci heaps "which is the default heap data structure in LEDA"
 // (§4.2) for both algorithms; this harness measures whether that choice
 // mattered by swapping in pairing and addressable binary heaps. The
-// pivot sequence (and hence the answer) is identical across heaps —
-// only constant factors move.
+// pivot sequence (and hence the answer and the witness) is identical
+// across heaps, ties included, because every heap orders events by
+// (key, head node, arc) — only constant factors move. The tests
+// Parametric.HeapsAndQueuesTakeTheSamePivotsWhereKeysTie and
+// Parametric.RatioHeapsTakeTheSamePivotsWhereKeysTie hold it.
 #include <iostream>
 #include <string>
 

@@ -5,6 +5,7 @@
 // table binaries.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/driver.h"
@@ -115,6 +116,48 @@ void BM_HeapSortPattern(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_HeapSortPattern, BinaryHeap<std::int64_t>)->Arg(4096);
 BENCHMARK_TEMPLATE(BM_HeapSortPattern, PairingHeap<std::int64_t>)->Arg(4096);
 BENCHMARK_TEMPLATE(BM_HeapSortPattern, FibonacciHeap<std::int64_t>)->Arg(4096);
+
+// The operations a YTO solve sends its node heap, on n items under a
+// seeded stream. Each round is one pivot: the minimum's key rises (its
+// best in-arc became a tree arc), two other items rise or leave (the
+// rest of the moved subtree) and three keys fall, never below the
+// minimum (heads of arcs leaving the subtree). Keys never fall below
+// the last minimum, as lambda only grows.
+template <typename Heap>
+void BM_HeapEventPattern(benchmark::State& state) {
+  const std::int32_t n = static_cast<std::int32_t>(state.range(0));
+  constexpr std::int64_t kSpread = 1 << 20;
+  for (auto _ : state) {
+    Prng rng(11);
+    Heap h(n);
+    for (std::int32_t i = 0; i < n; ++i) h.insert(i, rng.uniform_int(0, kSpread));
+    for (std::int32_t round = 0; round < 4 * n; ++round) {
+      const std::int32_t top = h.min_item();
+      const std::int64_t lambda = h.key(top);
+      h.update_key(top, lambda + rng.uniform_int(1, kSpread));
+      for (int k = 0; k < 2; ++k) {
+        const auto i = static_cast<std::int32_t>(rng.uniform_int(0, n - 1));
+        if (!h.contains(i)) {
+          h.insert(i, lambda + rng.uniform_int(0, kSpread));
+        } else if (i != h.min_item() && rng.uniform_int(0, 3) == 0) {
+          h.erase(i);
+        } else {
+          h.update_key(i, h.key(i) + rng.uniform_int(1, kSpread / 64));
+        }
+      }
+      for (int k = 0; k < 3; ++k) {
+        const auto i = static_cast<std::int32_t>(rng.uniform_int(0, n - 1));
+        if (h.contains(i)) {
+          h.decrease_key(i, std::max(lambda, h.key(i) - rng.uniform_int(0, kSpread / 64)));
+        }
+      }
+    }
+    benchmark::DoNotOptimize(h.size());
+  }
+}
+BENCHMARK_TEMPLATE(BM_HeapEventPattern, BinaryHeap<std::int64_t>)->Arg(1024);
+BENCHMARK_TEMPLATE(BM_HeapEventPattern, PairingHeap<std::int64_t>)->Arg(1024);
+BENCHMARK_TEMPLATE(BM_HeapEventPattern, FibonacciHeap<std::int64_t>)->Arg(1024);
 
 }  // namespace
 

@@ -19,10 +19,14 @@
 //     recomputes the keys of all arcs crossing the moved subtree's
 //     boundary (delete + insert / update per arc).
 //   * YTO keeps one entry per NODE, keyed by the best qualifying
-//     incoming arc; a pivot recomputes node keys for the moved subtree
-//     and its out-neighborhood. This is the paper's "efficient
-//     implementation" — same pivots, far fewer heap operations
-//     (especially insertions), which §4.2 measures.
+//     incoming arc; a pivot rescans the moved subtree's in-arcs and
+//     decreases the keys of the nodes its out-arcs reach. This is the
+//     paper's "efficient implementation" — same pivots, far fewer heap
+//     operations (especially insertions), which §4.2 measures.
+//
+// Every queue orders events by (key, head node, arc). The order is
+// total, so every heap and both queue layouts take the same minimum:
+// KO and YTO make the same pivots, ties included, whatever the heap.
 //
 // Exactness: keys are exact fractions of 64-bit integers compared by
 // 128-bit cross multiplication; the returned cycle mean is exact.
@@ -31,6 +35,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
 #include <stdexcept>
 #include <vector>
 
@@ -46,15 +51,28 @@
 
 namespace mcr::detail {
 
-/// An exact fraction num/den with den > 0, ordered by value.
+/// An exact fraction num/den with den > 0.
 struct Frac {
   std::int64_t num = 0;
   std::int64_t den = 1;
 };
 
-struct FracLess {
-  bool operator()(const Frac& x, const Frac& y) const {
-    return static_cast<int128>(x.num) * y.den < static_cast<int128>(y.num) * x.den;
+/// A qualifying arc as the event queues hold it: its key, its head and
+/// itself.
+struct Event {
+  Frac key;
+  NodeId head = kInvalidNode;
+  ArcId arc = kInvalidArc;
+};
+
+/// The one pivot order: key, then head node, then arc.
+struct EventLess {
+  bool operator()(const Event& x, const Event& y) const {
+    const int128 lhs = static_cast<int128>(x.key.num) * y.key.den;
+    const int128 rhs = static_cast<int128>(y.key.num) * x.key.den;
+    if (lhs != rhs) return lhs < rhs;
+    if (x.head != y.head) return x.head < y.head;
+    return x.arc < y.arc;
   }
 };
 
@@ -64,24 +82,23 @@ class ParametricTree {
   ParametricTree(const Graph& g, ProblemKind kind, OpCounters& counters)
       : g_(g), kind_(kind), counters_(counters) {
     const std::size_t un = static_cast<std::size_t>(g.num_nodes());
-    a_.assign(un, 0);
-    b_.assign(un, 0);
     parent_.assign(un, kInvalidArc);
     in_subtree_.assign(un, false);
     init_tree();
   }
 
-  /// Key of arc e, qualifying iff denominator > 0.
-  [[nodiscard]] bool arc_key(ArcId e, Frac& out) const {
+  /// Event of arc e, qualifying iff its key's denominator is > 0.
+  [[nodiscard]] bool arc_event(ArcId e, Event& out) const {
     const NodeId u = g_.src(e);
     const NodeId v = g_.dst(e);
     if (parent_[static_cast<std::size_t>(v)] == e) return false;  // tree arc
     const std::int64_t den = b_[static_cast<std::size_t>(u)] + arc_transit(g_, kind_, e) -
                              b_[static_cast<std::size_t>(v)];
     if (den <= 0) return false;
-    out.num = a_[static_cast<std::size_t>(u)] + g_.weight(e) -
-              a_[static_cast<std::size_t>(v)];
-    out.den = den;
+    out = Event{Frac{a_[static_cast<std::size_t>(u)] + g_.weight(e) -
+                         a_[static_cast<std::size_t>(v)],
+                     den},
+                v, e};
     return true;
   }
 
@@ -159,45 +176,48 @@ class ParametricTree {
 
  private:
   /// Initial tree: shortest paths from node 0 under the lexicographic
-  /// cost (transit, weight) — the lambda -> -infinity limit. Plain
-  /// label-correcting; safe because every cycle has positive transit.
+  /// cost (transit, weight) — the lambda -> -infinity limit. FIFO label
+  /// correcting with each node queued at most once at a time; it ends
+  /// because every cycle has positive transit.
   void init_tree() {
     const NodeId n = g_.num_nodes();
     const std::size_t un = static_cast<std::size_t>(n);
     children_.assign(un, {});
     constexpr std::int64_t kInf = kInt64Limit;
-    std::vector<std::int64_t> bb(un, kInf), aa(un, kInf);
-    bb[0] = 0;
-    aa[0] = 0;
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (ArcId e = 0; e < g_.num_arcs(); ++e) {
+    a_.assign(un, kInf);
+    b_.assign(un, kInf);
+    a_[0] = 0;
+    b_[0] = 0;
+    std::deque<NodeId> queue{0};
+    std::vector<bool> queued(un, false);
+    queued[0] = true;
+    while (!queue.empty()) {
+      const NodeId u = queue.front();
+      queue.pop_front();
+      queued[static_cast<std::size_t>(u)] = false;
+      for (const ArcId e : g_.out_arcs(u)) {
         ++counters_.arc_scans;
-        const NodeId u = g_.src(e);
         const NodeId v = g_.dst(e);
-        if (bb[static_cast<std::size_t>(u)] == kInf) continue;
-        const std::int64_t cb = bb[static_cast<std::size_t>(u)] + arc_transit(g_, kind_, e);
-        const std::int64_t ca = aa[static_cast<std::size_t>(u)] + g_.weight(e);
-        if (cb < bb[static_cast<std::size_t>(v)] ||
-            (cb == bb[static_cast<std::size_t>(v)] && ca < aa[static_cast<std::size_t>(v)])) {
-          bb[static_cast<std::size_t>(v)] = cb;
-          aa[static_cast<std::size_t>(v)] = ca;
+        const std::int64_t cb = b_[static_cast<std::size_t>(u)] + arc_transit(g_, kind_, e);
+        const std::int64_t ca = a_[static_cast<std::size_t>(u)] + g_.weight(e);
+        if (cb < b_[static_cast<std::size_t>(v)] ||
+            (cb == b_[static_cast<std::size_t>(v)] && ca < a_[static_cast<std::size_t>(v)])) {
+          b_[static_cast<std::size_t>(v)] = cb;
+          a_[static_cast<std::size_t>(v)] = ca;
           parent_[static_cast<std::size_t>(v)] = e;
-          changed = true;
+          if (!queued[static_cast<std::size_t>(v)]) {
+            queued[static_cast<std::size_t>(v)] = true;
+            queue.push_back(v);
+          }
         }
       }
     }
-    for (NodeId v = 0; v < n; ++v) {
-      if (v != 0 && parent_[static_cast<std::size_t>(v)] == kInvalidArc) {
+    for (NodeId v = 1; v < n; ++v) {
+      const ArcId pa = parent_[static_cast<std::size_t>(v)];
+      if (pa == kInvalidArc) {
         throw std::invalid_argument("parametric solver: graph is not strongly connected");
       }
-      a_[static_cast<std::size_t>(v)] = aa[static_cast<std::size_t>(v)];
-      b_[static_cast<std::size_t>(v)] = bb[static_cast<std::size_t>(v)];
-      if (v != 0) {
-        children_[static_cast<std::size_t>(g_.src(parent_[static_cast<std::size_t>(v)]))]
-            .push_back(v);
-      }
+      children_[static_cast<std::size_t>(g_.src(pa))].push_back(v);
     }
   }
 
@@ -233,17 +253,17 @@ CycleResult solve_ko_with(const Graph& g, ProblemKind kind) {
   CycleResult result;
   if (finish_if_out_of_range(g, kind, result)) return result;
   ParametricTree tree(g, kind, result.counters);
-  Heap<Frac, FracLess> heap(g.num_arcs());
+  Heap<Event, EventLess> heap(g.num_arcs());
 
   const auto refresh_arc = [&](ArcId e) {
     ++result.counters.arc_scans;
-    Frac key;
-    if (tree.arc_key(e, key)) {
+    Event ev;
+    if (tree.arc_event(e, ev)) {
       if (heap.contains(e)) {
-        heap.update_key(e, key);
+        heap.update_key(e, ev);
         ++result.counters.heap_decrease_keys;
       } else {
-        heap.insert(e, key);
+        heap.insert(e, ev);
         ++result.counters.heap_inserts;
       }
     } else if (heap.contains(e)) {
@@ -263,24 +283,24 @@ CycleResult solve_ko_with(const Graph& g, ProblemKind kind) {
       sink->instant(obs::EventKind::kIteration, "ko.pivot",
                     static_cast<std::int64_t>(result.counters.iterations));
     }
-    const ArcId e = heap.extract_min();
+    const Event ev = heap.key(heap.min_item());
+    heap.extract_min();
     ++result.counters.heap_delete_mins;
-    Frac key;
-    if (!tree.arc_key(e, key)) continue;  // stale (should not happen)
 
+    const ArcId e = ev.arc;
     const NodeId u = g.src(e);
-    const NodeId v = g.dst(e);
-    tree.collect_subtree(v);
+    tree.collect_subtree(ev.head);
     if (tree.in_subtree(u)) {
       // Pivot closes a cycle: lambda* = key.
       tree.clear_subtree_marks();
       result.has_cycle = true;
-      result.value = Rational(key.num, key.den);
+      result.value = Rational(ev.key.num, ev.key.den);
       result.cycle = tree.close_cycle(e);
       return result;
     }
     tree.apply_pivot(e);
-    // Keys change exactly for arcs with one endpoint in the subtree.
+    // Keys change exactly for arcs with one endpoint in the subtree
+    // (e itself, now a tree arc, is one of the in-arcs).
     for (const NodeId x : tree.subtree_nodes()) {
       for (const ArcId out : g.out_arcs(x)) {
         if (!tree.in_subtree(g.dst(out))) refresh_arc(out);
@@ -288,11 +308,6 @@ CycleResult solve_ko_with(const Graph& g, ProblemKind kind) {
       for (const ArcId in : g.in_arcs(x)) {
         if (!tree.in_subtree(g.src(in))) refresh_arc(in);
       }
-    }
-    // The pivot arc itself became a tree arc.
-    if (heap.contains(e)) {
-      heap.erase(e);
-      ++result.counters.heap_delete_mins;
     }
     tree.clear_subtree_marks();
   }
@@ -305,23 +320,18 @@ CycleResult solve_yto_with(const Graph& g, ProblemKind kind) {
   CycleResult result;
   if (finish_if_out_of_range(g, kind, result)) return result;
   ParametricTree tree(g, kind, result.counters);
-  Heap<Frac, FracLess> heap(g.num_nodes());
-  std::vector<ArcId> best_arc(static_cast<std::size_t>(g.num_nodes()), kInvalidArc);
+  Heap<Event, EventLess> heap(g.num_nodes());
 
   const auto refresh_node = [&](NodeId v) {
-    Frac best;
-    ArcId arg = kInvalidArc;
+    Event best;
     for (const ArcId e : g.in_arcs(v)) {
       ++result.counters.arc_scans;
-      Frac key;
-      if (!tree.arc_key(e, key)) continue;
-      if (arg == kInvalidArc || FracLess{}(key, best)) {
-        best = key;
-        arg = e;
+      Event ev;
+      if (tree.arc_event(e, ev) && (best.arc == kInvalidArc || EventLess{}(ev, best))) {
+        best = ev;
       }
     }
-    best_arc[static_cast<std::size_t>(v)] = arg;
-    if (arg != kInvalidArc) {
+    if (best.arc != kInvalidArc) {
       if (heap.contains(v)) {
         heap.update_key(v, best);
         ++result.counters.heap_decrease_keys;
@@ -345,34 +355,44 @@ CycleResult solve_yto_with(const Graph& g, ProblemKind kind) {
       sink->instant(obs::EventKind::kIteration, "yto.pivot",
                     static_cast<std::int64_t>(result.counters.iterations));
     }
-    const NodeId v = heap.min_item();
-    const ArcId e = best_arc[static_cast<std::size_t>(v)];
-    Frac key;
-    if (e == kInvalidArc || !tree.arc_key(e, key)) {
-      refresh_node(v);
-      continue;
-    }
-
+    const Event ev = heap.key(heap.min_item());
+    const ArcId e = ev.arc;
     const NodeId u = g.src(e);
-    tree.collect_subtree(v);
+    tree.collect_subtree(ev.head);
     if (tree.in_subtree(u)) {
       tree.clear_subtree_marks();
       result.has_cycle = true;
-      result.value = Rational(key.num, key.den);
+      result.value = Rational(ev.key.num, ev.key.den);
       result.cycle = tree.close_cycle(e);
       return result;
     }
     tree.apply_pivot(e);
-    // Node keys change for the moved subtree (their in-arc keys moved)
-    // and for out-neighbors of the subtree.
+    // The pivot shifts the subtree by (delta_a, delta_b) with delta_b > 0
+    // and delta_a = lambda * delta_b, lambda = ev's key. An arc leaving
+    // the subtree keeps its reduced cost at lambda and gains delta_b of
+    // denominator, so its key falls toward lambda or starts to qualify;
+    // no other in-arc of its head y moves. One look per such arc keeps
+    // y's key exact: insert, or decrease-key when the arc is y's held
+    // arc or beats it.
     for (const NodeId x : tree.subtree_nodes()) {
       for (const ArcId out : g.out_arcs(x)) {
         const NodeId y = g.dst(out);
-        if (!tree.in_subtree(y)) refresh_node(y);
+        if (tree.in_subtree(y)) continue;
+        ++result.counters.arc_scans;
+        Event leaving;
+        if (!tree.arc_event(out, leaving)) continue;
+        if (!heap.contains(y)) {
+          heap.insert(y, leaving);
+          ++result.counters.heap_inserts;
+        } else if (const Event& held = heap.key(y);
+                   held.arc == out || EventLess{}(leaving, held)) {
+          heap.decrease_key(y, leaving);
+          ++result.counters.heap_decrease_keys;
+        }
       }
     }
-    // Refresh subtree nodes after clearing marks is wrong — their keys
-    // depend on arcs from outside, which changed; do it while marked.
+    // The subtree's in-arcs from outside lost denominator, so their keys
+    // rose or stopped qualifying: rescan every subtree node, while marked.
     for (const NodeId x : tree.subtree_nodes()) refresh_node(x);
     tree.clear_subtree_marks();
   }

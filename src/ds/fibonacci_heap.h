@@ -3,8 +3,11 @@
 //
 // This is the heap the paper's KO/YTO implementations used (LEDA's
 // default, §4.2): O(1) amortized insert/decrease_key, O(lg n) amortized
-// extract_min. Nodes live in one contiguous pool indexed by item id, so
-// no allocation happens after construction.
+// extract_min. Raising the key of, or erasing, any item but the minimum
+// makes it a childless root and leaves the minimum where it is; only
+// the minimum's leaving consolidates the root list. Nodes live in one
+// contiguous pool indexed by item id, so no allocation happens after
+// construction.
 #ifndef MCR_DS_FIBONACCI_HEAP_H
 #define MCR_DS_FIBONACCI_HEAP_H
 
@@ -53,21 +56,9 @@ class FibonacciHeap {
   Item extract_min() {
     assert(!empty());
     const Item z = min_;
-    Node& zn = node_[idx(z)];
-    // Promote children to roots.
-    Item child = zn.child;
-    if (child != kNil) {
-      Item c = child;
-      do {
-        const Item next = node_[idx(c)].right;
-        node_[idx(c)].parent = kNil;
-        node_[idx(c)].marked = false;
-        splice_into_roots(c);
-        c = next;
-      } while (c != child);
-    }
+    promote_children(z);
     remove_from_list(z);
-    zn.in_heap = false;
+    node_[idx(z)].in_heap = false;
     --size_;
     if (size_ == 0) {
       min_ = kNil;
@@ -92,29 +83,33 @@ class FibonacciHeap {
     if (cmp_(nd.key, node_[idx(min_)].key)) min_ = i;
   }
 
+  /// A larger key for the minimum goes through extract_min; any other
+  /// item becomes a childless root first, so no consolidation runs.
   void update_key(Item i, Key k) {
     assert(contains(i));
     if (!cmp_(node_[idx(i)].key, k)) {
       decrease_key(i, std::move(k));
-    } else {
-      erase(i);
+    } else if (i == min_) {
+      extract_min();
       insert(i, std::move(k));
+    } else {
+      isolate(i);
+      node_[idx(i)].key = std::move(k);
     }
   }
 
+  /// Erasing the minimum is extract_min; any other item leaves as a
+  /// childless root and the minimum stays.
   void erase(Item i) {
     assert(contains(i));
-    // Standard trick: cut to root unconditionally, make it the minimum,
-    // then extract.
-    const Item p = node_[idx(i)].parent;
-    if (p != kNil) {
-      cut(i, p);
-      cascading_cut(p);
+    if (i == min_) {
+      extract_min();
+      return;
     }
-    force_min_ = i;
-    min_ = i;
-    extract_min();
-    force_min_ = kNil;
+    isolate(i);
+    remove_from_list(i);
+    node_[idx(i)].in_heap = false;
+    --size_;
   }
 
  private:
@@ -132,6 +127,32 @@ class FibonacciHeap {
   };
 
   static std::size_t idx(Item i) { return static_cast<std::size_t>(i); }
+
+  /// Moves z's children to the root list.
+  void promote_children(Item z) {
+    const Item child = node_[idx(z)].child;
+    if (child == kNil) return;
+    Item c = child;
+    do {
+      const Item next = node_[idx(c)].right;
+      node_[idx(c)].marked = false;
+      splice_into_roots(c);
+      c = next;
+    } while (c != child);
+    node_[idx(z)].child = kNil;
+    node_[idx(z)].degree = 0;
+  }
+
+  /// Makes i a childless root: its children join the root list and i is
+  /// cut from its parent. Heap order then holds for any key of i.
+  void isolate(Item i) {
+    promote_children(i);
+    const Item p = node_[idx(i)].parent;
+    if (p != kNil) {
+      cut(i, p);
+      cascading_cut(p);
+    }
+  }
 
   /// Inserts i into the root list (circular doubly linked via left/right).
   void splice_into_roots(Item i) {
@@ -225,8 +246,6 @@ class FibonacciHeap {
   }
 
   [[nodiscard]] bool is_less(Item a, Item b) const {
-    if (a == force_min_) return true;
-    if (b == force_min_) return false;
     return cmp_(node_[idx(a)].key, node_[idx(b)].key);
   }
 
@@ -256,7 +275,6 @@ class FibonacciHeap {
   std::vector<Item> scratch_roots_;
   Item min_ = kNil;
   Item roots_ = kNil;
-  Item force_min_ = kNil;  // sentinel treated as -infinity during erase()
   std::size_t size_ = 0;
 };
 

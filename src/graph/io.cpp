@@ -38,7 +38,7 @@ bool dimacs_ws(char c) {
 
 }  // namespace
 
-Graph read_dimacs(std::string_view text) {
+Graph read_dimacs(std::string_view text, std::int64_t max_nodes) {
   std::size_t lineno = 0;
   NodeId n = -1;
   ArcId declared_m = 0;
@@ -111,6 +111,10 @@ Graph read_dimacs(std::string_view text) {
       if (!(ls >> tag >> nn >> mm) || tag != "mcr" || nn < 0 || mm < 0 || nn > kIdMax ||
           mm > kIdMax) {
         fail("malformed problem line (expected 'p mcr <n> <m>')");
+      }
+      if (nn > max_nodes) {
+        fail("problem line declares " + std::to_string(nn) + " nodes, above the limit of " +
+             std::to_string(max_nodes));
       }
       n = static_cast<NodeId>(nn);
       declared_m = static_cast<ArcId>(mm);

@@ -12,7 +12,9 @@
 #ifndef MCR_GRAPH_IO_H
 #define MCR_GRAPH_IO_H
 
+#include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -25,8 +27,11 @@ void write_dimacs(std::ostream& os, const Graph& g, const std::string& comment =
 
 /// Parses a graph from the whole text, splitting lines in place;
 /// throws std::runtime_error with a line number on malformed input
-/// (including a problem line whose n or m exceeds INT32_MAX).
-[[nodiscard]] Graph read_dimacs(std::string_view text);
+/// (including a problem line whose n or m exceeds INT32_MAX). A problem
+/// line declaring more than `max_nodes` nodes is refused before
+/// anything is allocated: the declared n sizes the graph's arrays.
+[[nodiscard]] Graph read_dimacs(std::string_view text,
+                                std::int64_t max_nodes = std::numeric_limits<NodeId>::max());
 
 /// Reads the stream to its end, then parses that text as above.
 [[nodiscard]] Graph read_dimacs(std::istream& is);

@@ -260,7 +260,7 @@ std::string Router::handle_request(FrameServer::Request& request) {
   return forward_with_failover(request.body, verb, payload, request.arrival);
 }
 
-std::string Router::routing_key_for(const json::Value& request) {
+std::string Router::routing_key_for(const json::Value& request, std::size_t max_frame_bytes) {
   if (request.has("fingerprint") && request.at("fingerprint").is_string()) {
     return "fp:" + request.at("fingerprint").as_string();
   }
@@ -276,7 +276,8 @@ std::string Router::routing_key_for(const json::Value& request) {
   // back to a content-hash key and lets a worker own the BAD_REQUEST.
   if (request.has("dimacs") && request.at("dimacs").is_string()) {
     try {
-      return "fp:" + fingerprint_hex(read_dimacs(request.at("dimacs").as_string()));
+      return "fp:" + fingerprint_hex(read_dimacs(request.at("dimacs").as_string(),
+                                                 static_cast<std::int64_t>(max_frame_bytes / 8)));
     } catch (const std::exception&) {
       return "dimacs:" + std::to_string(hash_bytes(request.at("dimacs").as_string()));
     }
@@ -309,7 +310,7 @@ std::vector<std::size_t> Router::replica_indices(std::string_view key) const {
 
 std::vector<std::size_t> Router::candidate_order(const json::Value& request,
                                                  const std::string& verb) {
-  const std::string key = routing_key_for(request);
+  const std::string key = routing_key_for(request, options_.max_frame_bytes);
   if (key.empty()) {
     // No affinity: rotate the whole fleet round-robin.
     std::vector<std::size_t> order(backends_.size());
@@ -501,7 +502,7 @@ std::string Router::forward_with_failover(
 }
 
 std::string Router::handle_load(const json::Value& request, const std::string& payload) {
-  const std::string key = routing_key_for(request);
+  const std::string key = routing_key_for(request, options_.max_frame_bytes);
   std::vector<std::size_t> targets;
   if (key.empty()) {
     // No loadable source named; one worker's BAD_REQUEST explains it.

@@ -200,8 +200,11 @@ class Router {
   /// Replica set (backend indices, primary first) for a routing key —
   /// exposed for ring property tests.
   [[nodiscard]] std::vector<std::size_t> replica_indices(std::string_view key) const;
-  /// Routing key for a parsed request payload; "" = no affinity.
-  [[nodiscard]] static std::string routing_key_for(const json::Value& request);
+  /// Routing key for a parsed request payload; "" = no affinity. An
+  /// inline DIMACS header may declare at most max_frame_bytes / 8 nodes,
+  /// the bound a worker holds it to.
+  [[nodiscard]] static std::string routing_key_for(
+      const json::Value& request, std::size_t max_frame_bytes = kDefaultMaxFrameBytes);
 
  private:
   struct Backend {

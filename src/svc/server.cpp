@@ -279,8 +279,12 @@ std::pair<std::shared_ptr<const Graph>, std::string> Server::resolve_graph(
     }
     return {std::move(g), fp};
   }
+  // The largest inline-DIMACS LOAD a frame can carry has about
+  // max_frame_bytes / 8 arcs; a generated graph may not outgrow it, and
+  // an inline header may not declare more nodes than that.
+  const auto max_size = static_cast<std::int64_t>(options_.max_frame_bytes / 8);
   Graph loaded = [&]() -> Graph {
-    if (req.has("dimacs")) return read_dimacs(req.at("dimacs").as_string());
+    if (req.has("dimacs")) return read_dimacs(req.at("dimacs").as_string(), max_size);
     if (req.has("path")) return load_dimacs(req.at("path").as_string());
     if (req.has("generator")) {
       const json::Value& spec = req.at("generator");
@@ -292,10 +296,7 @@ std::pair<std::shared_ptr<const Graph>, std::string> Server::resolve_graph(
         }
         return static_cast<std::int64_t>(value);
       };
-      // The largest inline-DIMACS LOAD a frame can carry has about
-      // max_frame_bytes / 8 arcs; a generated graph may not outgrow it.
-      return gen::generate(spec.string_or("family", ""), param,
-                           static_cast<std::int64_t>(options_.max_frame_bytes / 8));
+      return gen::generate(spec.string_or("family", ""), param, max_size);
     }
     throw RequestError(kErrBadRequest,
                        "no graph source (expected one of fingerprint | dimacs | "

@@ -1,10 +1,13 @@
 // Typed tests exercising the shared addressable-heap concept across the
-// binary, pairing, and Fibonacci heaps, including a randomized
-// differential test against a sorted-container reference model.
+// binary, pairing, and Fibonacci heaps, including randomized
+// differential tests against a sorted-container reference model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "ds/binary_heap.h"
@@ -187,6 +190,80 @@ TYPED_TEST(HeapTest, RandomizedDifferentialAgainstReferenceModel) {
       EXPECT_EQ(h.key(h.min_item()), ordered.begin()->first);
     }
   }
+}
+
+// The parametric solvers' keys are totally ordered, so every heap must
+// name the same minimum. The step mix leans on the paths that reshape a
+// heap without extracting: key increases, and erases of non-minimum
+// items picked near the minimum, where a Fibonacci heap's roots hold
+// their children after a consolidation.
+template <typename H>
+class TotalOrderHeapTest : public ::testing::Test {};
+
+using PairKey = std::pair<std::int64_t, std::int32_t>;
+using TotalOrderHeapTypes = ::testing::Types<BinaryHeap<PairKey>, PairingHeap<PairKey>,
+                                             FibonacciHeap<PairKey>>;
+TYPED_TEST_SUITE(TotalOrderHeapTest, TotalOrderHeapTypes);
+
+TYPED_TEST(TotalOrderHeapTest, MinimumAndDrainMatchTheReferenceModel) {
+  constexpr std::int32_t kCapacity = 300;
+  TypeParam h(kCapacity);
+  std::map<std::int32_t, PairKey> ref;
+  std::set<PairKey> ordered;  // a key's second part is its item: all distinct
+  Prng rng(2024);
+  const auto set_key = [&](std::int32_t item, std::int64_t value) {
+    if (ref.count(item)) ordered.erase(ref.at(item));
+    ref[item] = {value, item};
+    ordered.insert(ref.at(item));
+  };
+  // An item near the minimum (rank 1..4) or anywhere, never the minimum.
+  const auto pick_non_min = [&]() -> std::int32_t {
+    const auto size = static_cast<std::int64_t>(ordered.size());
+    const std::int64_t top = rng.uniform_int(0, 1) == 0 ? std::min<std::int64_t>(size - 1, 4)
+                                                        : size - 1;
+    return std::next(ordered.begin(), static_cast<long>(rng.uniform_int(1, top)))->second;
+  };
+
+  for (int step = 0; step < 30000; ++step) {
+    const int op = static_cast<int>(rng.uniform_int(0, 19));
+    if (op < 6 || ref.size() < 3) {  // insert
+      const auto item = static_cast<std::int32_t>(rng.uniform_int(0, kCapacity - 1));
+      if (ref.count(item)) continue;
+      const std::int64_t value = rng.uniform_int(0, 40);  // first parts tie often
+      h.insert(item, {value, item});
+      set_key(item, value);
+    } else if (op < 8) {  // extract_min
+      const std::int32_t got = h.extract_min();
+      ASSERT_EQ(got, ordered.begin()->second) << "step " << step;
+      ordered.erase(ordered.begin());
+      ref.erase(got);
+    } else if (op < 13) {  // update_key increase, of the minimum one time in five
+      const std::int32_t item = op == 12 ? ordered.begin()->second : pick_non_min();
+      const std::int64_t value = ref.at(item).first + rng.uniform_int(1, 20);
+      h.update_key(item, {value, item});
+      set_key(item, value);
+    } else if (op < 17) {  // erase a non-minimum item
+      const std::int32_t item = pick_non_min();
+      h.erase(item);
+      ordered.erase(ref.at(item));
+      ref.erase(item);
+    } else {  // decrease_key of any item
+      const auto rank = rng.uniform_int(0, static_cast<std::int64_t>(ordered.size()) - 1);
+      const std::int32_t item = std::next(ordered.begin(), static_cast<long>(rank))->second;
+      const std::int64_t value = ref.at(item).first - rng.uniform_int(0, 10);
+      h.decrease_key(item, {value, item});
+      set_key(item, value);
+    }
+    ASSERT_EQ(h.size(), ref.size()) << "step " << step;
+    if (!ref.empty()) {
+      ASSERT_EQ(h.min_item(), ordered.begin()->second) << "step " << step;
+    }
+  }
+  std::vector<std::int32_t> drained;
+  while (!h.empty()) drained.push_back(h.extract_min());
+  std::vector<std::int32_t> expected;
+  for (const PairKey& key : ordered) expected.push_back(key.second);
+  EXPECT_EQ(drained, expected);
 }
 
 }  // namespace

@@ -345,5 +345,21 @@ TEST(DimacsScanner, ProblemLineBoundsNodeAndArcCounts) {
             "read_dimacs: arc count mismatch (declared 2147483647, found 0)");
 }
 
+// The declared n sizes the graph's arrays, so a caller's node bound is
+// checked on the problem line before anything is allocated: 17 bytes
+// must not build a 20-million-node graph.
+TEST(DimacsScanner, ProblemLineNodeCountIsBoundedByTheCaller) {
+  try {
+    (void)read_dimacs(std::string_view("p mcr 20000000 0\n"), 2097152);
+    FAIL() << "expected the node bound to refuse the header";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "read_dimacs: line 1: problem line declares 20000000 nodes, above the "
+                 "limit of 2097152");
+  }
+  // At the bound the header is read as usual.
+  EXPECT_EQ(read_dimacs(std::string_view("p mcr 3 0\n"), 3).num_nodes(), 3);
+}
+
 }  // namespace
 }  // namespace mcr

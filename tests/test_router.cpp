@@ -362,6 +362,21 @@ TEST(RouterFleet, WorkerDeathFailsOverWithZeroClientVisibleErrors) {
   EXPECT_EQ(fleet.counter("mcr_router_no_replica_total"), 0u);
 }
 
+// A 17-byte header declaring 20 million nodes is refused by the
+// router's own parse (it routes by content hash instead) and by the
+// worker, which answers BAD_REQUEST; neither builds the graph.
+TEST(RouterFleet, OversizedDimacsHeaderLoadIsABadRequest) {
+  Fleet fleet(3);
+  svc::Client client = fleet.client();
+  const std::string load = R"({"verb":"LOAD","dimacs":"p mcr 20000000 0\n"})";
+  EXPECT_EQ(svc::Router::routing_key_for(json::parse(load)).rfind("dimacs:", 0), 0u);
+  const json::Value r = client.request(load);
+  EXPECT_EQ(r.string_or("code", ""), "BAD_REQUEST");
+  EXPECT_NE(r.string_or("message", "").find("declares 20000000 nodes"), std::string::npos)
+      << r.string_or("message", "");
+  EXPECT_TRUE(client.ping());
+}
+
 TEST(RouterFleet, BreakerOpensOnRepeatedFailureAndProbeRecloses) {
   svc::RouterOptions ro;
   ro.breaker.failure_threshold = 2;

@@ -593,8 +593,9 @@ TEST(SvcServer, ErrorsAreExplicitAndConnectionSurvives) {
 }
 
 // A DIMACS header's n and m are bounded and size no allocation: a
-// 57-byte SOLVE claiming a billion arcs is the client's error, not an
-// out-of-memory INTERNAL, and a max objective on an INT64_MIN weight
+// 57-byte SOLVE claiming a billion arcs, or one claiming 20 million
+// nodes, is the client's error, not an out-of-memory INTERNAL, and a
+// max objective on an INT64_MIN weight
 // (which has no negation) is refused rather than answered with the
 // wrong sign.
 TEST(SvcServer, HostileDimacsHeadersAndInt64MinAreBadRequests) {
@@ -613,6 +614,12 @@ TEST(SvcServer, HostileDimacsHeadersAndInt64MinAreBadRequests) {
       R"({"verb":"SOLVE","dimacs":"p mcr 4294967298 2\na 1 2 5\na 2 1 3\n"})");
   EXPECT_EQ(r.string_or("code", ""), "BAD_REQUEST");
   EXPECT_NE(r.string_or("message", "").find("malformed problem line"), std::string::npos)
+      << r.string_or("message", "");
+  // n sizes the graph: above max_frame_bytes / 8 nodes the header is
+  // refused before any allocation.
+  r = client.request(R"({"verb":"SOLVE","dimacs":"p mcr 20000000 0\n"})");
+  EXPECT_EQ(r.string_or("code", ""), "BAD_REQUEST");
+  EXPECT_NE(r.string_or("message", "").find("declares 20000000 nodes"), std::string::npos)
       << r.string_or("message", "");
 
   const std::string int64_min_ring =

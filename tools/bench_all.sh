@@ -52,7 +52,8 @@ fi
 if [[ "$UPDATE_BASELINE" == 1 ]]; then
   # THE baseline recipe: a tiny sprand grid that finishes in seconds on
   # any machine, covering the tiled solver families (Bellman-Ford via
-  # lawler, the whole Karp family, Howard) with tiling on. It runs on one
+  # lawler, the whole Karp family, Howard) with tiling on, and KO and
+  # YTO with the paper's Fibonacci heap. It runs on one
   # thread: on a host with fewer CPUs than threads a threaded run
   # measures oversubscription, not the kernels. ci.sh reruns this exact
   # recipe for its candidate artifact; change it only together with a
@@ -62,7 +63,7 @@ if [[ "$UPDATE_BASELINE" == 1 ]]; then
   # counts, which the gate compares exactly.
   OUT_DIR="${2:-.}"
   MCR_BENCH_SCALE=small "$BENCH" --name baseline --workload sprand \
-      --solvers howard,karp,karp2,lawler,dg,ho --max-n 256 \
+      --solvers howard,karp,karp2,lawler,dg,ho,ko,yto --max-n 256 \
       --trials "$TRIALS" --threads 1 --tile-arcs 1024 --out "$OUT_DIR/BENCH_baseline.json"
   MCR_BENCH_SCALE=small "$BENCH" --name baseline_ratio --workload sprand_ratio \
       --solvers howard_ratio,yto_ratio \
