@@ -35,7 +35,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -83,7 +83,11 @@ class ParametricTree {
       : g_(g), kind_(kind), counters_(counters) {
     const std::size_t un = static_cast<std::size_t>(g.num_nodes());
     parent_.assign(un, kInvalidArc);
-    in_subtree_.assign(un, false);
+    first_child_.assign(un, kInvalidNode);
+    next_sibling_.resize(un);
+    prev_sibling_.resize(un);
+    in_subtree_.assign(un, 0);
+    subtree_.reserve(un);
     init_tree();
   }
 
@@ -102,26 +106,71 @@ class ParametricTree {
     return true;
   }
 
+  /// The least event over v's in-arcs; its arc is kInvalidArc when none
+  /// qualifies. v's labels and tree arc are read once, and every in-arc
+  /// counts as one arc scan.
+  [[nodiscard]] Event best_in_event(NodeId v) const {
+    const std::size_t sv = static_cast<std::size_t>(v);
+    const std::int64_t av = a_[sv];
+    const std::int64_t bv = b_[sv];
+    const ArcId tree_arc = parent_[sv];
+    Event best;
+    for (const ArcId e : g_.in_arcs(v)) {
+      ++counters_.arc_scans;
+      if (e == tree_arc) continue;
+      const std::size_t su = static_cast<std::size_t>(g_.src(e));
+      const std::int64_t den = b_[su] + arc_transit(g_, kind_, e) - bv;
+      if (den <= 0) continue;
+      const Event ev{Frac{a_[su] + g_.weight(e) - av, den}, v, e};
+      if (best.arc == kInvalidArc || EventLess{}(ev, best)) best = ev;
+    }
+    return best;
+  }
+
+  /// Calls visit(event) for every qualifying arc that leaves the
+  /// collected subtree, reading each tail's labels once. Every arc that
+  /// leaves counts as one arc scan.
+  template <typename Visit>
+  void for_each_leaving_event(Visit&& visit) const {
+    for (const NodeId x : subtree_) {
+      const std::size_t sx = static_cast<std::size_t>(x);
+      const std::int64_t ax = a_[sx];
+      const std::int64_t bx = b_[sx];
+      for (const ArcId out : g_.out_arcs(x)) {
+        const NodeId y = g_.dst(out);
+        const std::size_t sy = static_cast<std::size_t>(y);
+        if (in_subtree_[sy] != 0) continue;
+        ++counters_.arc_scans;
+        // y's parent is outside the subtree too, so out is not y's tree arc.
+        assert(parent_[sy] != out);
+        const std::int64_t den = bx + arc_transit(g_, kind_, out) - b_[sy];
+        if (den <= 0) continue;
+        visit(Event{Frac{ax + g_.weight(out) - a_[sy], den}, y, out});
+      }
+    }
+  }
+
   /// Marks and collects the subtree rooted at v into `subtree_nodes()`.
   void collect_subtree(NodeId v) {
     subtree_.clear();
     subtree_.push_back(v);
-    in_subtree_[static_cast<std::size_t>(v)] = true;
+    in_subtree_[static_cast<std::size_t>(v)] = 1;
     for (std::size_t head = 0; head < subtree_.size(); ++head) {
-      for (const NodeId c : children_[static_cast<std::size_t>(subtree_[head])]) {
-        in_subtree_[static_cast<std::size_t>(c)] = true;
+      for (NodeId c = first_child_[static_cast<std::size_t>(subtree_[head])]; c != kInvalidNode;
+           c = next_sibling_[static_cast<std::size_t>(c)]) {
+        in_subtree_[static_cast<std::size_t>(c)] = 1;
         subtree_.push_back(c);
       }
     }
   }
 
   void clear_subtree_marks() {
-    for (const NodeId x : subtree_) in_subtree_[static_cast<std::size_t>(x)] = false;
+    for (const NodeId x : subtree_) in_subtree_[static_cast<std::size_t>(x)] = 0;
   }
 
   [[nodiscard]] const std::vector<NodeId>& subtree_nodes() const { return subtree_; }
   [[nodiscard]] bool in_subtree(NodeId v) const {
-    return in_subtree_[static_cast<std::size_t>(v)];
+    return in_subtree_[static_cast<std::size_t>(v)] != 0;
   }
 
   /// Re-hangs v below arc e = (u, v) and shifts the collected subtree's
@@ -137,20 +186,18 @@ class ParametricTree {
       a_[static_cast<std::size_t>(x)] += delta_a;
       b_[static_cast<std::size_t>(x)] += delta_b;
     }
-    // Move v in the child lists.
-    const ArcId old_parent = parent_[static_cast<std::size_t>(v)];
-    if (old_parent != kInvalidArc) {
-      auto& siblings = children_[static_cast<std::size_t>(g_.src(old_parent))];
-      for (std::size_t i = 0; i < siblings.size(); ++i) {
-        if (siblings[i] == v) {
-          siblings[i] = siblings.back();
-          siblings.pop_back();
-          break;
-        }
-      }
+    // v is never the root: every node is below node 0, so a pivot onto
+    // node 0 closes a cycle instead.
+    assert(parent_[static_cast<std::size_t>(v)] != kInvalidArc);
+    const NodeId next = next_sibling_[static_cast<std::size_t>(v)];
+    const NodeId prev = prev_sibling_[static_cast<std::size_t>(v)];
+    if (prev == kInvalidNode) {
+      first_child_[static_cast<std::size_t>(g_.src(parent_[static_cast<std::size_t>(v)]))] = next;
+    } else {
+      next_sibling_[static_cast<std::size_t>(prev)] = next;
     }
-    parent_[static_cast<std::size_t>(v)] = e;
-    children_[static_cast<std::size_t>(u)].push_back(v);
+    if (next != kInvalidNode) prev_sibling_[static_cast<std::size_t>(next)] = prev;
+    hang(v, e);
   }
 
   /// The cycle closed by pivot arc e = (u, v) with v an ancestor of u:
@@ -177,24 +224,30 @@ class ParametricTree {
  private:
   /// Initial tree: shortest paths from node 0 under the lexicographic
   /// cost (transit, weight) — the lambda -> -infinity limit. FIFO label
-  /// correcting with each node queued at most once at a time; it ends
-  /// because every cycle has positive transit.
+  /// correcting with each node queued at most once at a time, so a ring
+  /// of n slots holds the queue; it ends because every cycle has
+  /// positive transit.
   void init_tree() {
     const NodeId n = g_.num_nodes();
     const std::size_t un = static_cast<std::size_t>(n);
-    children_.assign(un, {});
     constexpr std::int64_t kInf = kInt64Limit;
     a_.assign(un, kInf);
     b_.assign(un, kInf);
     a_[0] = 0;
     b_[0] = 0;
-    std::deque<NodeId> queue{0};
-    std::vector<bool> queued(un, false);
-    queued[0] = true;
-    while (!queue.empty()) {
-      const NodeId u = queue.front();
-      queue.pop_front();
-      queued[static_cast<std::size_t>(u)] = false;
+    const auto step = [un](std::size_t i) { return i + 1 == un ? 0 : i + 1; };
+    std::vector<NodeId> ring(un);
+    std::vector<std::uint8_t> queued(un, 0);
+    ring[0] = 0;
+    queued[0] = 1;
+    std::size_t front = 0;
+    std::size_t back = step(0);
+    std::size_t queue_size = 1;
+    while (queue_size != 0) {
+      const NodeId u = ring[front];
+      front = step(front);
+      --queue_size;
+      queued[static_cast<std::size_t>(u)] = 0;
       for (const ArcId e : g_.out_arcs(u)) {
         ++counters_.arc_scans;
         const NodeId v = g_.dst(e);
@@ -205,9 +258,11 @@ class ParametricTree {
           b_[static_cast<std::size_t>(v)] = cb;
           a_[static_cast<std::size_t>(v)] = ca;
           parent_[static_cast<std::size_t>(v)] = e;
-          if (!queued[static_cast<std::size_t>(v)]) {
-            queued[static_cast<std::size_t>(v)] = true;
-            queue.push_back(v);
+          if (queued[static_cast<std::size_t>(v)] == 0) {
+            queued[static_cast<std::size_t>(v)] = 1;
+            ring[back] = v;
+            back = step(back);
+            ++queue_size;
           }
         }
       }
@@ -217,8 +272,19 @@ class ParametricTree {
       if (pa == kInvalidArc) {
         throw std::invalid_argument("parametric solver: graph is not strongly connected");
       }
-      children_[static_cast<std::size_t>(g_.src(pa))].push_back(v);
+      hang(v, pa);
     }
+  }
+
+  /// Makes v, detached from any child list, the first child of e's tail.
+  void hang(NodeId v, ArcId e) {
+    const std::size_t u = static_cast<std::size_t>(g_.src(e));
+    const NodeId old_first = first_child_[u];
+    parent_[static_cast<std::size_t>(v)] = e;
+    prev_sibling_[static_cast<std::size_t>(v)] = kInvalidNode;
+    next_sibling_[static_cast<std::size_t>(v)] = old_first;
+    if (old_first != kInvalidNode) prev_sibling_[static_cast<std::size_t>(old_first)] = v;
+    first_child_[u] = v;
   }
 
   const Graph& g_;
@@ -227,9 +293,13 @@ class ParametricTree {
   std::vector<std::int64_t> a_;
   std::vector<std::int64_t> b_;
   std::vector<ArcId> parent_;
-  std::vector<std::vector<NodeId>> children_;
+  // Child lists as sibling links: first child, next and previous sibling
+  // (kInvalidNode ends a list).
+  std::vector<NodeId> first_child_;
+  std::vector<NodeId> next_sibling_;
+  std::vector<NodeId> prev_sibling_;
   std::vector<NodeId> subtree_;
-  std::vector<bool> in_subtree_;
+  std::vector<std::uint8_t> in_subtree_;
 };
 
 /// The range rule (support/int_range.h), checked before the tree is
@@ -323,14 +393,7 @@ CycleResult solve_yto_with(const Graph& g, ProblemKind kind) {
   Heap<Event, EventLess> heap(g.num_nodes());
 
   const auto refresh_node = [&](NodeId v) {
-    Event best;
-    for (const ArcId e : g.in_arcs(v)) {
-      ++result.counters.arc_scans;
-      Event ev;
-      if (tree.arc_event(e, ev) && (best.arc == kInvalidArc || EventLess{}(ev, best))) {
-        best = ev;
-      }
-    }
+    const Event best = tree.best_in_event(v);
     if (best.arc != kInvalidArc) {
       if (heap.contains(v)) {
         heap.update_key(v, best);
@@ -374,23 +437,17 @@ CycleResult solve_yto_with(const Graph& g, ProblemKind kind) {
     // no other in-arc of its head y moves. One look per such arc keeps
     // y's key exact: insert, or decrease-key when the arc is y's held
     // arc or beats it.
-    for (const NodeId x : tree.subtree_nodes()) {
-      for (const ArcId out : g.out_arcs(x)) {
-        const NodeId y = g.dst(out);
-        if (tree.in_subtree(y)) continue;
-        ++result.counters.arc_scans;
-        Event leaving;
-        if (!tree.arc_event(out, leaving)) continue;
-        if (!heap.contains(y)) {
-          heap.insert(y, leaving);
-          ++result.counters.heap_inserts;
-        } else if (const Event& held = heap.key(y);
-                   held.arc == out || EventLess{}(leaving, held)) {
-          heap.decrease_key(y, leaving);
-          ++result.counters.heap_decrease_keys;
-        }
+    tree.for_each_leaving_event([&](const Event& leaving) {
+      const NodeId y = leaving.head;
+      if (!heap.contains(y)) {
+        heap.insert(y, leaving);
+        ++result.counters.heap_inserts;
+      } else if (const Event& held = heap.key(y);
+                 held.arc == leaving.arc || EventLess{}(leaving, held)) {
+        heap.decrease_key(y, leaving);
+        ++result.counters.heap_decrease_keys;
       }
-    }
+    });
     // The subtree's in-arcs from outside lost denominator, so their keys
     // rose or stopped qualifying: rescan every subtree node, while marked.
     for (const NodeId x : tree.subtree_nodes()) refresh_node(x);

@@ -1,6 +1,7 @@
 #include "benchkit/artifact.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
@@ -46,6 +47,12 @@ void append_kv_num(std::string& out, std::string_view key, double value) {
   append_string(out, key);
   out += ':';
   out += fmt_number(value);
+}
+
+void append_kv_int(std::string& out, std::string_view key, std::int64_t value) {
+  append_string(out, key);
+  out += ':';
+  out += std::to_string(value);
 }
 
 void append_map(std::string& out, const std::map<std::string, double>& map) {
@@ -94,15 +101,15 @@ std::string artifact_json(const BenchArtifact& artifact) {
   out += "{";
   append_kv(out, "schema", "mcr-bench");
   out += ',';
-  append_kv_num(out, "schema_version", artifact.schema_version);
+  append_kv_int(out, "schema_version", artifact.schema_version);
   out += ',';
   append_kv(out, "name", artifact.name);
   out += ',';
   append_kv(out, "scale", artifact.scale);
   out += ',';
-  append_kv_num(out, "warmup", artifact.warmup);
+  append_kv_int(out, "warmup", artifact.warmup);
   out += ',';
-  append_kv_num(out, "repetitions", artifact.repetitions);
+  append_kv_int(out, "repetitions", artifact.repetitions);
   out += ',';
   append_kv(out, "counters", artifact.counters_backend);
   if (!artifact.counters_fallback_reason.empty()) {
@@ -124,7 +131,7 @@ std::string artifact_json(const BenchArtifact& artifact) {
   out += ',';
   append_kv(out, "governor", artifact.build.governor);
   out += ',';
-  append_kv_num(out, "hardware_threads", artifact.build.hardware_threads);
+  append_kv_int(out, "hardware_threads", artifact.build.hardware_threads);
   out += "},";
   append_string(out, "cells");
   out += ":[";
@@ -137,9 +144,9 @@ std::string artifact_json(const BenchArtifact& artifact) {
     out += ',';
     append_kv(out, "instance", cell.instance);
     out += ',';
-    append_kv_num(out, "n", cell.n);
+    append_kv_int(out, "n", cell.n);
     out += ',';
-    append_kv_num(out, "m", cell.m);
+    append_kv_int(out, "m", cell.m);
     out += ',';
     append_kv(out, "solver", cell.solver);
     out += ',';

@@ -20,8 +20,9 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <vector>
+
+#include "ds/heap_capacity.h"
 
 namespace mcr {
 
@@ -31,10 +32,8 @@ class BinaryHeap {
   using Item = std::int32_t;
 
   explicit BinaryHeap(Item capacity, Compare cmp = Compare())
-      : cmp_(cmp), pos_(static_cast<std::size_t>(capacity), kAbsent),
-        key_(static_cast<std::size_t>(capacity)) {
-    if (capacity < 0) throw std::invalid_argument("BinaryHeap: negative capacity");
-  }
+      : cmp_(cmp), pos_(detail::heap_capacity(capacity, "BinaryHeap"), kAbsent),
+        key_(static_cast<std::size_t>(capacity)) {}
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }

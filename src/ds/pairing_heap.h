@@ -10,8 +10,9 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <vector>
+
+#include "ds/heap_capacity.h"
 
 namespace mcr {
 
@@ -21,9 +22,7 @@ class PairingHeap {
   using Item = std::int32_t;
 
   explicit PairingHeap(Item capacity, Compare cmp = Compare())
-      : cmp_(cmp), node_(static_cast<std::size_t>(capacity)) {
-    if (capacity < 0) throw std::invalid_argument("PairingHeap: negative capacity");
-  }
+      : cmp_(cmp), node_(detail::heap_capacity(capacity, "PairingHeap")) {}
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }

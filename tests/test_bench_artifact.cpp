@@ -82,10 +82,16 @@ BenchArtifact small_artifact() {
 }
 
 TEST(BenchArtifact, JsonRoundTripPreservesEverything) {
-  const BenchArtifact a = small_artifact();
+  BenchArtifact a = small_artifact();
+  a.cells.push_back(ran_cell("n128_m320", "yto", 0.030, 0.002));
+  a.cells.back().m = 320;
   std::ostringstream os;
   write_artifact(os, a);
   const BenchArtifact b = artifact_from_json(json::parse(os.str()));
+  // Integer fields are written as integers, not in %g's exponent form.
+  EXPECT_NE(os.str().find("\"m\":320,"), std::string::npos) << os.str();
+  EXPECT_NE(os.str().find("\"n\":8192,"), std::string::npos);
+  EXPECT_NE(os.str().find("\"hardware_threads\":4}"), std::string::npos);
 
   EXPECT_EQ(b.schema_version, kBenchSchemaVersion);
   EXPECT_EQ(b.name, a.name);

@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -129,6 +131,11 @@ TYPED_TEST(HeapTest, DuplicateKeysAllowed) {
   std::set<std::int32_t> items;
   while (!h.empty()) items.insert(h.extract_min());
   EXPECT_EQ(items.size(), 4u);
+}
+
+TYPED_TEST(HeapTest, NegativeCapacityThrowsInvalidArgument) {
+  EXPECT_THROW(TypeParam(-1), std::invalid_argument);
+  EXPECT_THROW(TypeParam(std::numeric_limits<std::int32_t>::min()), std::invalid_argument);
 }
 
 TYPED_TEST(HeapTest, RandomizedDifferentialAgainstReferenceModel) {
@@ -258,6 +265,82 @@ TYPED_TEST(TotalOrderHeapTest, MinimumAndDrainMatchTheReferenceModel) {
     if (!ref.empty()) {
       ASSERT_EQ(h.min_item(), ordered.begin()->second) << "step " << step;
     }
+  }
+  std::vector<std::int32_t> drained;
+  while (!h.empty()) drained.push_back(h.extract_min());
+  std::vector<std::int32_t> expected;
+  for (const PairKey& key : ordered) expected.push_back(key.second);
+  EXPECT_EQ(drained, expected);
+}
+
+// The YTO step mix of bench_micro's BM_HeapEventPattern at a size where
+// a Fibonacci heap's trees grow deep: the first extract_min consolidates
+// 16,383 singleton roots, and each round raises the minimum (one more
+// consolidation), raises or erases two other items, and decreases three
+// keys, never below the last minimum's value.
+TYPED_TEST(TotalOrderHeapTest, EventRoundsOnSixteenThousandItemsMatchTheReferenceModel) {
+  constexpr std::int32_t kCapacity = 1 << 14;
+  constexpr std::int64_t kSpread = 1 << 20;
+  TypeParam h(kCapacity);
+  std::vector<PairKey> ref(kCapacity);
+  std::vector<bool> in_ref(kCapacity, false);
+  std::set<PairKey> ordered;
+  Prng rng(77);
+  const auto set_key = [&](std::int32_t item, std::int64_t value) {
+    const auto slot = static_cast<std::size_t>(item);
+    if (in_ref[slot]) ordered.erase(ref[slot]);
+    ref[slot] = {value, item};
+    in_ref[slot] = true;
+    ordered.insert(ref[slot]);
+  };
+  const auto remove = [&](std::int32_t item) {
+    const auto slot = static_cast<std::size_t>(item);
+    ordered.erase(ref[slot]);
+    in_ref[slot] = false;
+  };
+
+  for (std::int32_t i = 0; i < kCapacity; ++i) {
+    const std::int64_t value = rng.uniform_int(0, kSpread);
+    h.insert(i, {value, i});
+    set_key(i, value);
+  }
+  const std::int32_t first = h.extract_min();
+  ASSERT_EQ(first, ordered.begin()->second);
+  remove(first);
+
+  for (std::int32_t round = 0; round < 2 * kCapacity; ++round) {
+    const std::int32_t top = h.min_item();
+    ASSERT_EQ(top, ordered.begin()->second) << "round " << round;
+    const std::int64_t lambda = ref[static_cast<std::size_t>(top)].first;
+    const std::int64_t raised = lambda + rng.uniform_int(1, kSpread);
+    h.update_key(top, {raised, top});
+    set_key(top, raised);
+    for (int k = 0; k < 2; ++k) {
+      const auto i = static_cast<std::int32_t>(rng.uniform_int(0, kCapacity - 1));
+      const std::int64_t value = ref[static_cast<std::size_t>(i)].first;
+      if (!h.contains(i)) {
+        const std::int64_t fresh = lambda + rng.uniform_int(0, kSpread);
+        h.insert(i, {fresh, i});
+        set_key(i, fresh);
+      } else if (i != h.min_item() && rng.uniform_int(0, 3) == 0) {
+        h.erase(i);
+        remove(i);
+      } else {
+        const std::int64_t up = value + rng.uniform_int(1, kSpread / 64);
+        h.update_key(i, {up, i});
+        set_key(i, up);
+      }
+    }
+    for (int k = 0; k < 3; ++k) {
+      const auto i = static_cast<std::int32_t>(rng.uniform_int(0, kCapacity - 1));
+      if (!h.contains(i)) continue;
+      const std::int64_t down = std::max(
+          lambda, ref[static_cast<std::size_t>(i)].first - rng.uniform_int(0, kSpread / 64));
+      h.decrease_key(i, {down, i});
+      set_key(i, down);
+    }
+    ASSERT_EQ(h.size(), ordered.size()) << "round " << round;
+    ASSERT_EQ(h.min_item(), ordered.begin()->second) << "round " << round;
   }
   std::vector<std::int32_t> drained;
   while (!h.empty()) drained.push_back(h.extract_min());

@@ -335,6 +335,32 @@ if [[ "$FAST" == 0 ]]; then
       run build/tools/mcr_bench_diff "$artifact" "$baseline_tmp/$artifact" \
           --threshold "${MCR_CI_BASELINE_THRESHOLD:-300}"
     done
+    echo "=== KO/YTO count gate ==="
+    # The paper's KO/YTO claims (§2.3, §4.2) on the candidate's mean grid:
+    # the same pivots in every cell, fewer YTO inserts wherever m > n,
+    # and a ko/yto insert ratio that does not fall as m grows at each n.
+    python3 - "$baseline_tmp/BENCH_baseline.json" <<'PY'
+import json, sys
+cells = {}
+for c in json.load(open(sys.argv[1]))["cells"]:
+    if c["solver"] in ("ko", "yto") and c["workload"] == "sprand":
+        cells.setdefault((c["n"], c["m"]), {})[c["solver"]] = c["ops"]
+assert cells, "no ko/yto cells in the mean grid"
+last = {}
+for (n, m), ops in sorted(cells.items()):
+    ko, yto = ops["ko"], ops["yto"]
+    where = f"n={n} m={m}"
+    assert ko["iterations"] == yto["iterations"], f"{where}: ko and yto pivot counts differ"
+    if m > n:
+        assert yto["heap_inserts"] < ko["heap_inserts"], f"{where}: yto inserts no fewer than ko"
+    ratio = (ko["heap_inserts"], yto["heap_inserts"])
+    if n in last:
+        prev = last[n]
+        assert ratio[0] * prev[1] >= prev[0] * ratio[1], f"{where}: ko/yto insert ratio fell"
+    last[n] = ratio
+    print(f"{where}: {ko['iterations']} pivots, inserts ko {ratio[0]} yto {ratio[1]}"
+          f" ({ratio[0] / ratio[1]:.2f}x)")
+PY
     rm -rf "$baseline_tmp"
   else
     echo "FAIL: no committed BENCH_baseline.json / BENCH_baseline_ratio.json (regenerate with tools/bench_all.sh --update-baseline)" >&2
